@@ -147,11 +147,11 @@ func printKeysAndFDs(tables []*table.Table, maxFD int) {
 	var decomposed []float64
 	rng := rand.New(rand.NewSource(1))
 	for _, t := range eligible {
-		if !fd.HasNontrivialFD(t, fd.MaxLHS) {
+		res := normalize.Decompose(t, fd.MaxLHS, rng)
+		if len(res.FDs) == 0 {
 			continue
 		}
 		withFD++
-		res := normalize.Decompose(t, fd.MaxLHS, rng)
 		decomposed = append(decomposed, float64(len(res.Tables)))
 	}
 	if len(eligible) > 0 {

@@ -406,6 +406,9 @@ func runPortal(src corpus.Source, opts Options, span *obs.Span) PortalResult {
 	secJoin := span.Child("join")
 	secUnion := span.Child("union")
 	portalLabels := []string{"portal", pr.Portal}
+	// fdPer holds the §4 per-table FD results; the extension analyses
+	// read the FD lists after the section fan-out has filled it.
+	fdPer := make([]tableFD, len(fdTables))
 	counter := func(name, help string, n int) {
 		opts.Metrics.Counter(name, help, portalLabels...).Add(int64(n))
 	}
@@ -437,7 +440,6 @@ func runPortal(src corpus.Source, opts Options, span *obs.Span) PortalResult {
 			// key searches. Fusing the passes removes the barrier that
 			// previously idled workers between them; both write only
 			// index-addressed slots, so the fold is order-independent.
-			fdPer := make([]tableFD, n)
 			keySizes := make([]int, n)
 			parallel.Must(parallel.ForEach(parallel.WithPool(bg, "keys+fd"), 2*n, opts.Workers, func(i int) {
 				if i < n {
@@ -492,7 +494,7 @@ func runPortal(src corpus.Source, opts Options, span *obs.Span) PortalResult {
 	parallel.Must(parallel.ForEach(parallel.WithPool(bg, "sections"), len(sections), opts.Workers, func(i int) { sections[i]() }))
 
 	if opts.Extensions {
-		ext := extensionStats(src, tables, fdTables)
+		ext := extensionStats(src, tables, fdTables, fdPer)
 		ext.ExactUnionTables = pr.Union.UnionableTables
 		pr.Ext = &ext
 	}
@@ -531,7 +533,8 @@ func recordCorpusMetrics(portal string, metas []corpus.TableMeta, datasets []cor
 // extensionStats runs the beyond-the-paper analyses. The planted-FK
 // recovery rate needs generation provenance, so it is computed only
 // when the source is a *gen.Corpus; everything else is structural.
-func extensionStats(src corpus.Source, tables []*table.Table, fdTables []*table.Table) ExtensionStats {
+// fdPer holds the §4 results for fdTables, index for index.
+func extensionStats(src corpus.Source, tables []*table.Table, fdTables []*table.Table, fdPer []tableFD) ExtensionStats {
 	var ext ExtensionStats
 
 	inds := ind.Find(tables, ind.Options{})
@@ -561,11 +564,11 @@ func extensionStats(src corpus.Source, tables []*table.Table, fdTables []*table.
 	// FD plausibility over a bounded sample of the FD subset.
 	var sum float64
 	n := 0
-	for _, t := range fdTables {
+	for i, t := range fdTables {
 		if n >= 200 {
 			break
 		}
-		for _, f := range fd.Discover(t, fd.MaxLHS) {
+		for _, f := range fdPer[i].fds {
 			sum += fd.Plausibility(t, f)
 			n++
 			if n >= 200 {
@@ -680,25 +683,25 @@ type tableFD struct {
 	partCols  []float64
 	gain      float64
 	cost      fd.Cost
+	fds       []fd.FD // the table's minimal non-trivial FDs
 }
 
-// fdTableOne runs FD discovery and BCNF decomposition on one table.
-// The table's decomposition choices are drawn from an rng stream
-// derived from (seed, seedSaltFD, table index i), never from shared
-// state, so distinct indices may run concurrently.
+// fdTableOne runs FD discovery and BCNF decomposition on one table;
+// the decomposition's root search is the table's FD discovery. The
+// table's decomposition choices are drawn from an rng stream derived
+// from (seed, seedSaltFD, table index i), never from shared state, so
+// distinct indices may run concurrently.
 func fdTableOne(t *table.Table, seed int64, i int) tableFD {
-	r := tableFD{cols: t.NumCols()}
-	fds, cost := fd.DiscoverCost(t, fd.MaxLHS)
-	r.cost = cost
-	if len(fds) == 0 {
+	rng := rand.New(rand.NewSource(sectionSeed(seed, seedSaltFD) + int64(i)))
+	res := normalize.Decompose(t, fd.MaxLHS, rng)
+	r := tableFD{cols: t.NumCols(), cost: res.Cost, fds: res.FDs}
+	if len(res.FDs) == 0 {
 		r.subTables = 1
 		r.inBCNF = true
 		return r
 	}
 	r.withFD = true
-	r.simpleFD = len(fd.SimpleFDs(fds)) > 0
-	rng := rand.New(rand.NewSource(sectionSeed(seed, seedSaltFD) + int64(i)))
-	res := normalize.Decompose(t, fd.MaxLHS, rng)
+	r.simpleFD = len(fd.SimpleFDs(res.FDs)) > 0
 	r.subTables = len(res.Tables)
 	r.inBCNF = res.InBCNF()
 	if !r.inBCNF {

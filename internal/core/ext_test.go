@@ -1,8 +1,10 @@
 package core
 
 import (
+	"math"
 	"testing"
 
+	"ogdp/internal/fd"
 	"ogdp/internal/gen"
 )
 
@@ -29,5 +31,24 @@ func TestExtensionsComputed(t *testing.T) {
 	}
 	if pr.JoinAt07 == nil || pr.JoinAt07.Pairs < pr.Join.Pairs {
 		t.Error("sensitivity join stats missing or inconsistent")
+	}
+
+	// The plausibility sample reuses the §4 FD lists; it must equal a
+	// sample drawn from fresh fd.Discover calls on the same tables.
+	var sum float64
+	n := 0
+	for _, tb := range fdSubset(corpus.TableMetas(), 30) {
+		for _, f := range fd.Discover(tb, fd.MaxLHS) {
+			if n < 200 {
+				sum += fd.Plausibility(tb, f)
+				n++
+			}
+		}
+	}
+	if n == 0 {
+		t.Fatal("no FDs in the plausibility sample")
+	}
+	if want := sum / float64(n); math.Float64bits(pr.Ext.MeanFDPlausibility) != math.Float64bits(want) {
+		t.Errorf("mean FD plausibility = %v, fresh discovery gives %v", pr.Ext.MeanFDPlausibility, want)
 	}
 }

@@ -12,6 +12,11 @@
 //
 // Following the paper, an FD X → A is trivial when A ∈ X or X is a
 // (super)key, and discovery is bounded at |LHS| ≤ 4 (MaxLHS).
+//
+// Because the search sees the data only through cardinalities and the
+// row count, one Lattice (engine plus cardinality cache) also answers
+// discovery on any deduplicated projection of its table; BCNF
+// decomposition uses that to avoid building intermediate sub-tables.
 package fd
 
 import (
@@ -188,28 +193,102 @@ type Cost struct {
 
 // DiscoverCost is Discover plus the work counters the search accrued.
 func DiscoverCost(t *table.Table, maxLHS int) ([]FD, Cost) {
-	if t.NumCols() == 0 || t.NumCols() > MaxColumns || t.NumRows() == 0 || maxLHS < 1 {
-		return nil, Cost{}
-	}
-	e := newEngine(t)
-	fds := e.discover(maxLHS, false)
-	return fds, Cost{Cardinalities: len(e.cards), FDs: len(fds)}
+	return NewLattice(t).Discover(maxLHS)
 }
 
 // HasNontrivialFD reports whether t has at least one non-trivial FD
 // with |LHS| ≤ maxLHS, short-circuiting on the first hit.
 func HasNontrivialFD(t *table.Table, maxLHS int) bool {
-	if t.NumCols() == 0 || t.NumCols() > MaxColumns || t.NumRows() == 0 || maxLHS < 1 {
+	l := NewLattice(t)
+	if l.e == nil || maxLHS < 1 {
 		return false
 	}
-	e := newEngine(t)
-	return len(e.discover(maxLHS, true)) > 0
+	return len(l.e.discover(fullSet(l.e.nCols), l.e.nRows, maxLHS, true)) > 0
 }
 
-// discover runs the FUN levelwise search. With firstOnly it returns as
-// soon as one FD is found.
-func (e *engine) discover(maxLHS int, firstOnly bool) []FD {
+// Lattice is the projection-cardinality lattice of one table: the FUN
+// engine with its memoized card(X) cache over the table's columns.
+// Besides the table itself it answers FD discovery for any
+// deduplicated projection π_S(T) without building it. The search reads
+// the data only through card(X) and the row count nTotal, and both
+// carry over exactly:
+//
+//   - for X ⊆ S, card_{π_S T}(X) = card_T(X), because canonical codes
+//     depend only on the values;
+//   - π_S T has nTotal = card_T(S) rows once duplicates are removed.
+//
+// Every search on a lattice therefore reuses the cardinalities the
+// earlier ones computed. A Lattice is not safe for concurrent use.
+type Lattice struct {
+	e *engine // nil when the table is outside Discover's bounds
+}
+
+// NewLattice returns the lattice of t. A table with no columns, more
+// than MaxColumns columns, or no rows gets an empty lattice on which
+// every search yields no FDs.
+func NewLattice(t *table.Table) *Lattice {
+	if t.NumCols() == 0 || t.NumCols() > MaxColumns || t.NumRows() == 0 {
+		return &Lattice{}
+	}
+	return &Lattice{e: newEngine(t)}
+}
+
+// Discover is the root search, the FDs and Cost DiscoverCost returns
+// for the lattice's table (nTotal is the row count, duplicates
+// included). Cost.Cardinalities is the size of the shared cache when
+// the search ends, so it counts the root search alone only when no
+// DiscoverCols call ran before it.
+func (l *Lattice) Discover(maxLHS int) ([]FD, Cost) {
+	if l.e == nil || maxLHS < 1 {
+		return nil, Cost{}
+	}
+	fds := l.e.discover(fullSet(l.e.nCols), l.e.nRows, maxLHS, false)
+	sortFDs(fds)
+	return fds, Cost{Cardinalities: len(l.e.cards), FDs: len(fds)}
+}
+
+// DiscoverCols returns the minimal non-trivial FDs with |LHS| ≤ maxLHS
+// of the deduplicated projection of the table onto cols, a list of
+// distinct original column indices: the FDs Discover would find on
+// that projection built as a table with duplicate rows removed. The
+// FDs use local indices (local column i is original column cols[i])
+// and are sorted as Discover sorts them.
+func (l *Lattice) DiscoverCols(cols []int, maxLHS int) []FD {
+	if l.e == nil || len(cols) == 0 || maxLHS < 1 {
+		return nil
+	}
+	view := setOf(cols)
+	fds := l.e.discover(view, l.e.card(view), maxLHS, false)
+	local := make([]int, l.e.nCols)
+	for i, c := range cols {
+		local[c] = i
+	}
+	for i := range fds {
+		for k, a := range fds[i].LHS {
+			fds[i].LHS[k] = local[a]
+		}
+		sort.Ints(fds[i].LHS)
+		fds[i].RHS = local[fds[i].RHS]
+	}
+	sortFDs(fds)
+	return fds
+}
+
+// fullSet is the attribute set of the first n columns.
+func fullSet(n int) attrset {
+	var s attrset
+	for a := 0; a < n; a++ {
+		s = s.with(a)
+	}
+	return s
+}
+
+// discover runs the FUN levelwise search over the columns in view, for
+// a relation of nTotal rows, and returns its FDs unsorted in original
+// column indices. With firstOnly it returns as soon as one FD is found.
+func (e *engine) discover(view attrset, nTotal, maxLHS int, firstOnly bool) []FD {
 	var fds []FD
+	attrs := view.members(e.nCols)
 	// minimalFor[a] holds emitted LHS sets per RHS, for minimality checks.
 	minimalFor := make([][]attrset, e.nCols)
 
@@ -223,10 +302,8 @@ func (e *engine) discover(maxLHS int, firstOnly bool) []FD {
 		fds = append(fds, FD{LHS: lhs.members(e.nCols), RHS: rhs})
 	}
 
-	nTotal := e.nRows
-
 	// Level 0: the empty set determines constant columns.
-	for a := 0; a < e.nCols; a++ {
+	for _, a := range attrs {
 		if e.card(attrset(0).with(a)) == 1 && nTotal > 1 {
 			emit(0, a)
 			if firstOnly && len(fds) > 0 {
@@ -237,9 +314,9 @@ func (e *engine) discover(maxLHS int, firstOnly bool) []FD {
 
 	// Level 1 free sets: non-constant, non-duplicate-cardinality is not
 	// required at level 1 beyond excluding constants (card == card(∅)).
-	level := make([]attrset, 0, e.nCols)
-	free := make(map[attrset]bool, e.nCols*2)
-	for a := 0; a < e.nCols; a++ {
+	level := make([]attrset, 0, len(attrs))
+	free := make(map[attrset]bool, len(attrs)*2)
+	for _, a := range attrs {
 		s := attrset(0).with(a)
 		if e.card(s) > 1 || nTotal <= 1 {
 			level = append(level, s)
@@ -254,7 +331,7 @@ func (e *engine) discover(maxLHS int, firstOnly bool) []FD {
 			if cx == nTotal {
 				continue // X is a (super)key: all its FDs are trivial per the paper
 			}
-			for a := 0; a < e.nCols; a++ {
+			for _, a := range attrs {
 				if x.has(a) {
 					continue
 				}
@@ -277,7 +354,7 @@ func (e *engine) discover(maxLHS int, firstOnly bool) []FD {
 			if cx == nTotal {
 				continue // supersets of keys are never free
 			}
-			for a := 0; a < e.nCols; a++ {
+			for _, a := range attrs {
 				if x.has(a) {
 					continue
 				}
@@ -294,8 +371,6 @@ func (e *engine) discover(maxLHS int, firstOnly bool) []FD {
 		}
 		level = next
 	}
-
-	sortFDs(fds)
 	return fds
 }
 

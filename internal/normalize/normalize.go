@@ -5,6 +5,18 @@
 // T1 = X ∪ A and T2 = X ∪ (attr(T) \ A), and recursing until every
 // sub-table is in BCNF. The package also measures the decomposition's
 // effect on uniqueness scores (Table 5).
+//
+// The decomposition never builds an intermediate sub-table. Every
+// sub-table is the deduplicated projection π_S(T) of the original
+// onto some column set S (a chain of deduplicated projections is one
+// deduplicated projection of the composed column list), and the FUN
+// search of internal/fd reads a table only through projection
+// cardinalities card(X) and its row count. Both carry over exactly to
+// π_S(T): card_{π_S T}(X) = card_T(X) for every X ⊆ S, because
+// canonical codes depend only on the values, and π_S(T) has card_T(S)
+// rows. So one fd.Lattice over the original table, with one memoized
+// cardinality cache, finds the same FDs at every step as discovery on
+// the built sub-table would, and only the final sub-tables are built.
 package normalize
 
 import (
@@ -19,6 +31,13 @@ import (
 type Result struct {
 	// Original is the input table.
 	Original *table.Table
+	// FDs are the minimal non-trivial FDs of the original table, as
+	// fd.Discover returns them; none means the table is in BCNF.
+	FDs []fd.FD
+	// Cost is the work of discovering FDs, as fd.DiscoverCost reports
+	// it: it counts the original table's search only, not the
+	// searches of the decomposition steps.
+	Cost fd.Cost
 	// Tables is the final decomposition; a single entry means the
 	// original was already in BCNF.
 	Tables []*table.Table
@@ -39,62 +58,62 @@ const maxDepth = 64
 
 // Decompose runs the BCNF decomposition of t using FDs with
 // |LHS| ≤ maxLHS. The rng drives the uniformly random FD choice of the
-// paper's methodology; it must not be nil.
+// paper's methodology; it must not be nil. Each sub-table is tracked
+// as its list of original columns, and its FDs come from the original
+// table's cardinality lattice; only the final sub-tables are built.
 func Decompose(t *table.Table, maxLHS int, rng *rand.Rand) *Result {
+	lat := fd.NewLattice(t)
 	res := &Result{Original: t}
-	allCols := make([]int, t.NumCols())
-	for i := range allCols {
-		allCols[i] = i
+	res.FDs, res.Cost = lat.Discover(maxLHS)
+	if len(res.FDs) == 0 {
+		res.Tables = []*table.Table{t}
+		res.originalCols = [][]int{allIndices(t.NumCols())}
+		return res
 	}
-	type work struct {
-		t    *table.Table
-		orig []int // orig[i]: original column index of column i
-	}
-	stack := []work{{t: t, orig: allCols}}
+	var leaves [][]int
+	stack := [][]int{allIndices(t.NumCols())}
 	for depth := 0; len(stack) > 0 && depth < maxDepth; depth++ {
-		var next []work
-		for _, w := range stack {
-			fds := fd.Discover(w.t, maxLHS)
+		var next [][]int
+		for _, cols := range stack {
+			fds := res.FDs
+			if depth > 0 {
+				fds = lat.DiscoverCols(cols, maxLHS)
+			}
 			if len(fds) == 0 {
-				res.Tables = append(res.Tables, w.t)
-				res.originalCols = append(res.originalCols, w.orig)
+				leaves = append(leaves, cols)
 				continue
 			}
 			chosen := fds[rng.Intn(len(fds))]
-			t1, t2, o1, o2 := split(w.t, w.orig, chosen)
 			res.Steps++
-			next = append(next, work{t: t1, orig: o1}, work{t: t2, orig: o2})
+			next = append(next, splitCols(cols, chosen)...)
 		}
 		stack = next
 	}
-	// Flush anything left if the safety cap was hit.
-	for _, w := range stack {
-		res.Tables = append(res.Tables, w.t)
-		res.originalCols = append(res.originalCols, w.orig)
+	// Anything left if the safety cap was hit is final as it stands.
+	leaves = append(leaves, stack...)
+	for _, cols := range leaves {
+		res.Tables = append(res.Tables, dedupe(t.Project(cols)))
 	}
+	res.originalCols = leaves
 	return res
 }
 
-// split applies one decomposition step for FD X → A:
-// T1 = π_{X∪A}(T) and T2 = π_{X∪(attr\A)}(T), both deduplicated.
-func split(t *table.Table, orig []int, f fd.FD) (t1, t2 *table.Table, o1, o2 []int) {
-	var cols1, cols2 []int
-	cols1 = append(cols1, f.LHS...)
-	cols1 = append(cols1, f.RHS)
-	for c := 0; c < t.NumCols(); c++ {
+// splitCols applies one decomposition step for FD X → A to a sub-table
+// given as its original columns: T1 = X ∪ A and T2 = X ∪ (attr \ A),
+// with the FD in the sub-table's local indices.
+func splitCols(cols []int, f fd.FD) [][]int {
+	cols1 := make([]int, 0, len(f.LHS)+1)
+	for _, c := range f.LHS {
+		cols1 = append(cols1, cols[c])
+	}
+	cols1 = append(cols1, cols[f.RHS])
+	cols2 := make([]int, 0, len(cols)-1)
+	for c, oc := range cols {
 		if c != f.RHS {
-			cols2 = append(cols2, c)
+			cols2 = append(cols2, oc)
 		}
 	}
-	t1 = dedupe(t.Project(cols1))
-	t2 = dedupe(t.Project(cols2))
-	for _, c := range cols1 {
-		o1 = append(o1, orig[c])
-	}
-	for _, c := range cols2 {
-		o2 = append(o2, orig[c])
-	}
-	return t1, t2, o1, o2
+	return [][]int{cols1, cols2}
 }
 
 // dedupe returns a copy of t with duplicate rows removed (projection
@@ -133,14 +152,17 @@ func (r *Result) UniquenessGain() float64 {
 		return 1
 	}
 	// Count appearances of each original column across sub-tables.
-	appear := make(map[int]int)
-	where := make(map[int][2]int) // original col -> (table idx, col idx)
+	nCols := r.Original.NumCols()
+	appear := make([]int, nCols)
+	where := make([][2]int, nCols) // original col -> (table idx, col idx)
 	for ti, cols := range r.originalCols {
 		for ci, oc := range cols {
 			appear[oc]++
 			where[oc] = [2]int{ti, ci}
 		}
 	}
+	// Sum in ascending column order so the float result is the same
+	// on every call.
 	var sum float64
 	var n int
 	for oc, cnt := range appear {
