@@ -306,7 +306,7 @@ type colUnit struct {
 // precomputeUnits flattens the corpus into per-(table, column) work
 // units for the precompute fan-out. Columns of tables in the §4 FD
 // subset additionally materialize their canonical code streams (the
-// representation the FD/key lattice searches and row hashing consume);
+// representation the FD/key lattice searches and partitions consume);
 // canon streams of other tables are never read, so building them
 // would only cost time and memory.
 //

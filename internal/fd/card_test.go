@@ -1,0 +1,127 @@
+package fd
+
+import (
+	"fmt"
+	"math/rand"
+	"strconv"
+	"strings"
+	"testing"
+
+	"ogdp/internal/table"
+	"ogdp/internal/values"
+)
+
+// tupleKey is row r's tuple over cols as a string built from the raw
+// cells, every null spelling mapped to one token: an oracle for the
+// canonical-code semantics that shares no code with the engine.
+func tupleKey(t *table.Table, cols []int, r int) string {
+	var b strings.Builder
+	for _, c := range cols {
+		v := t.Value(c, r)
+		if values.IsNull(v) {
+			b.WriteString("N;")
+			continue
+		}
+		b.WriteString(strconv.Quote(v))
+		b.WriteByte(';')
+	}
+	return b.String()
+}
+
+// naiveCard counts the distinct tuples of the projection onto cols.
+func naiveCard(t *table.Table, cols []int) int {
+	seen := map[string]bool{}
+	for r := 0; r < t.NumRows(); r++ {
+		seen[tupleKey(t, cols, r)] = true
+	}
+	return len(seen)
+}
+
+// cardFixture builds a table from column-major cells.
+func cardFixture(name string, cols ...[]string) *table.Table {
+	names := make([]string, len(cols))
+	rows := make([][]string, len(cols[0]))
+	for c := range cols {
+		names[c] = fmt.Sprintf("c%d", c)
+	}
+	for r := range rows {
+		rows[r] = make([]string, len(cols))
+		for c := range cols {
+			rows[r][c] = cols[c][r]
+		}
+	}
+	return table.FromRows(name, names, rows)
+}
+
+func cardEdgeTables() []*table.Table {
+	rng := rand.New(rand.NewSource(5))
+	repeat := func(v string, n int) []string {
+		out := make([]string, n)
+		for i := range out {
+			out[i] = v
+		}
+		return out
+	}
+	draw := func(alphabet []string, n int) []string {
+		out := make([]string, n)
+		for i := range out {
+			out[i] = alphabet[rng.Intn(len(alphabet))]
+		}
+		return out
+	}
+	distinct := func(prefix string, n int) []string {
+		out := make([]string, n)
+		for i := range out {
+			out[i] = prefix + strconv.Itoa(i)
+		}
+		return out
+	}
+	nulls := []string{"", "NA", "null", " ", "n/a", "-"}
+
+	wide := make([][]string, 20)
+	for c := range wide {
+		wide[c] = draw([]string{"a", "b", "c", "", "NA"}[:2+c%4], 40)
+	}
+	dupRow := [][]string{repeat("x", 12), repeat("", 12), repeat("7", 12)}
+	return []*table.Table{
+		cardFixture("all-null", draw(nulls, 30), draw(nulls, 30), repeat("", 30)),
+		cardFixture("mixed-nulls", draw(append([]string{"a", "b"}, nulls...), 50),
+			draw([]string{"x", "NULL", "N/A", ""}, 50), draw(nulls, 50)),
+		cardFixture("one-row", []string{"a"}, []string{""}, []string{"NA"}),
+		cardFixture("all-duplicate-rows", dupRow...),
+		cardFixture("all-distinct", distinct("a", 40), distinct("b", 40), draw([]string{"p", "q"}, 40)),
+		cardFixture("wide", wide...),
+	}
+}
+
+// TestCardEdgeCases compares card with a string-keyed count for every
+// column set of up to five columns, on tables built to stress the
+// partition kernel: null-only and mixed-null columns, one row, rows
+// that are all the same, all-distinct columns, and 20 columns. Each set
+// is asked once on a shared engine, whose parent memo then chains
+// across unrelated sets, and once through cardWith from each of its
+// one-smaller subsets.
+func TestCardEdgeCases(t *testing.T) {
+	for _, tb := range cardEdgeTables() {
+		t.Run(tb.Name, func(t *testing.T) {
+			e := newEngine(tb)
+			ew := newEngine(tb)
+			for _, s := range enumerateSets(tb.NumCols(), 5) {
+				cols := s.members(tb.NumCols())
+				want := naiveCard(tb, cols)
+				if got := e.card(s); got != want {
+					t.Fatalf("card(%v) = %d, want %d", cols, got, want)
+				}
+				if len(cols) < 2 {
+					continue
+				}
+				for _, a := range cols {
+					delete(ew.cards, s)
+					if got := ew.cardWith(s.without(a), a); got != want {
+						t.Fatalf("cardWith(%v minus %d) = %d, want %d", cols, a, got, want)
+					}
+				}
+			}
+		})
+	}
+}

@@ -13,6 +13,16 @@
 // Following the paper, an FD X → A is trivial when A ∈ X or X is a
 // (super)key, and discovery is bounded at |LHS| ≤ 4 (MaxLHS).
 //
+// card(X) is counted exactly by stripped-partition refinement, the
+// partitions of TANE (table.Partition): a column's partition groups the
+// rows by its canonical code, and card(X ∪ {a}) = nRows − Err(π_X) +
+// Σ over π_X's classes of (distinct a-codes in the class − 1), which
+// reads only the rows inside X's classes. No row is hashed, so no hash
+// collision can undercount card and report a false FD. The engine keeps
+// one partition per column and the chain of prefix partitions of the
+// set it refined last, never one per set, so its memory is
+// O(nCols·nRows) however many sets the search visits.
+//
 // Because the search sees the data only through cardinalities and the
 // row count, one Lattice (engine plus cardinality cache) also answers
 // discovery on any deduplicated projection of its table; BCNF
@@ -21,6 +31,7 @@ package fd
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"strings"
 
@@ -97,15 +108,40 @@ func setOf(attrs []int) attrset {
 // engine runs the lattice search over the table's shared canonical
 // code streams (table.CanonCodes): per column, every null spelling is
 // code 0 and distinct non-null values are dense codes. The encoding is
-// built once per table and shared with every other analysis layer, so
-// constructing an engine allocates nothing beyond the caches below.
+// built once per table and shared with every other analysis layer.
+//
+// card(X) for |X| ≥ 2 refines the stripped partition of X's parent, X
+// without its highest column, by that column (table.Partitioner.Count)
+// instead of hashing every row. A set's partition is built by refining
+// its columns in ascending order, and the engine keeps that chain of
+// prefix partitions, so the next set sharing a prefix refines only
+// from where the two differ. FUN lists each level's sets in
+// lexicographic order, each right after the siblings that share its
+// parent, so a parent is usually one refinement away.
+//
+// Memory stays O(nCols·nRows): one partition per column and one per
+// chain position, each at most nRows rows, all built on first use.
+// Partitions of sets off the current chain are not kept: the search
+// meets tens of thousands of sets, and a partition per set would grow
+// with the lattice rather than the table.
 type engine struct {
 	nRows     int
 	nCols     int
 	codes     [][]uint32 // codes[c]: canonical code stream of column c
 	codeSizes []int      // code-space size per column (distinct incl. the null code)
 	cards     map[attrset]int
-	scratch   map[uint64]struct{} // reused across card computations
+
+	z     table.Partitioner
+	cols  []table.Partition // cols[c]: partition by column c, once built
+	built attrset           // columns whose partition is in cols
+	chain []link            // chain[i]: a set of i+2 columns (see partition); never resized
+}
+
+// link is one position of the prefix chain: a column set and its
+// partition.
+type link struct {
+	set attrset
+	p   table.Partition
 }
 
 func newEngine(t *table.Table) *engine {
@@ -115,6 +151,8 @@ func newEngine(t *table.Table) *engine {
 		codes:     make([][]uint32, t.NumCols()),
 		codeSizes: make([]int, t.NumCols()),
 		cards:     make(map[attrset]int),
+		cols:      make([]table.Partition, t.NumCols()),
+		chain:     make([]link, t.NumCols()),
 	}
 	for c := 0; c < e.nCols; c++ {
 		e.codes[c], e.codeSizes[c] = t.CanonCodes(c)
@@ -134,40 +172,70 @@ func (e *engine) card(s attrset) int {
 	if n, ok := e.cards[s]; ok {
 		return n
 	}
-	cols := s.members(e.nCols)
-	var n int
-	if len(cols) == 1 {
-		// Single columns read straight off the encoding: the canon code
-		// space is dense, so the distinct count is its size, minus the
-		// null bucket when no row uses it.
-		c := cols[0]
-		n = e.codeSizes[c] - 1
-		for _, code := range e.codes[c] {
-			if code == 0 { // a null row: the null bucket is populated
-				n++
-				break
-			}
+	if s&(s-1) != 0 {
+		a := 63 - bits.LeadingZeros64(uint64(s))
+		return e.cardWith(s.without(a), a)
+	}
+	// Single columns read straight off the encoding: the canon code
+	// space is dense, so the distinct count is its size, minus the null
+	// bucket when no row uses it.
+	c := bits.TrailingZeros64(uint64(s))
+	n := e.codeSizes[c] - 1
+	for _, code := range e.codes[c] {
+		if code == 0 { // a null row: the null bucket is populated
+			n++
+			break
 		}
-	} else {
-		if e.scratch == nil {
-			e.scratch = make(map[uint64]struct{}, e.nRows)
-		}
-		seen := e.scratch
-		for k := range seen {
-			delete(seen, k)
-		}
-		for r := 0; r < e.nRows; r++ {
-			var h uint64 = 14695981039346656037
-			for _, c := range cols {
-				h ^= uint64(e.codes[c][r])
-				h *= 1099511628211
-			}
-			seen[h] = struct{}{}
-		}
-		n = len(seen)
 	}
 	e.cards[s] = n
 	return n
+}
+
+// cardWith is card(x ∪ {a}) for a non-empty x without a, counted by
+// refining x's partition by a. Intermediate partitions the chain builds
+// on the way do not enter the cache.
+func (e *engine) cardWith(x attrset, a int) int {
+	s := x.with(a)
+	if n, ok := e.cards[s]; ok {
+		return n
+	}
+	n := e.z.Count(e.partition(x), e.nRows, e.codes[a], e.codeSizes[a])
+	e.cards[s] = n
+	return n
+}
+
+// column returns the partition of the rows by column c.
+func (e *engine) column(c int) *table.Partition {
+	if !e.built.has(c) {
+		e.z.Column(&e.cols[c], e.codes[c], e.codeSizes[c])
+		e.built = e.built.with(c)
+	}
+	return &e.cols[c]
+}
+
+// partition returns the partition of x (non-empty): its lowest column's
+// partition refined by the others in ascending order. Chain position i
+// holds the prefix of the first i+2 columns of the last set built
+// through it; a position whose set matches x's prefix is reused as is,
+// since a position is only rewritten when its set changes. The returned
+// partition is valid until the next call.
+func (e *engine) partition(x attrset) *table.Partition {
+	first := bits.TrailingZeros64(uint64(x))
+	p := e.column(first)
+	prefix := attrset(0).with(first)
+	i := 0
+	for rest := x.without(first); rest != 0; rest &= rest - 1 {
+		c := bits.TrailingZeros64(uint64(rest))
+		prefix = prefix.with(c)
+		l := &e.chain[i]
+		if l.set != prefix {
+			e.z.Refine(&l.p, p, e.codes[c], e.codeSizes[c])
+			l.set = prefix
+		}
+		p = &l.p
+		i++
+	}
+	return p
 }
 
 // Discover returns all minimal non-trivial FDs of t with |LHS| ≤
@@ -335,7 +403,7 @@ func (e *engine) discover(view attrset, nTotal, maxLHS int, firstOnly bool) []FD
 				if x.has(a) {
 					continue
 				}
-				if e.card(x.with(a)) == cx {
+				if e.cardWith(x, a) == cx {
 					emit(x, a)
 					if firstOnly && len(fds) > 0 {
 						return fds

@@ -17,11 +17,11 @@ func dedupeRows(t *table.Table) *table.Table {
 	for c := range all {
 		all[c] = c
 	}
-	seen := map[uint64]bool{}
+	seen := map[string]bool{}
 	var keep []int
-	for r, h := range t.RowHashes(all) {
-		if !seen[h] {
-			seen[h] = true
+	for r := 0; r < t.NumRows(); r++ {
+		if k := tupleKey(t, all, r); !seen[k] {
+			seen[k] = true
 			keep = append(keep, r)
 		}
 	}

@@ -8,6 +8,9 @@ import (
 // using the TANE algorithm (Huhtala, Kärkkäinen, Porkka, Toivonen,
 // 1999): levelwise search over attribute sets with stripped-partition
 // products for validity checking and C⁺ candidate sets for pruning.
+// The product π_X · π_{a} is table.Partitioner.Refine, the kernel
+// Discover's card(X) also runs on; unlike Discover, TANE keeps the
+// partition of every set it visits, as the algorithm does.
 // The paper's related work (§7, via [31]) notes any exact algorithm is
 // interchangeable for its analysis; this implementation exists to
 // demonstrate that and to serve as a second engine in the FD-algorithm
@@ -31,13 +34,13 @@ func DiscoverTANE(t *table.Table, maxLHS int) []FD {
 	}
 
 	// Level 1: singleton partitions; C+(X) starts as the full schema.
-	parts := map[attrset]*partition{}
+	parts := map[attrset]*table.Partition{}
 	cplus := map[attrset]attrset{}
 	var level []attrset
 	cplus[0] = full
 	for a := 0; a < nCols; a++ {
 		s := attrset(0).with(a)
-		parts[s] = singletonPartition(e.codes[a], nRows)
+		parts[s] = e.column(a)
 		level = append(level, s)
 	}
 
@@ -46,7 +49,7 @@ func DiscoverTANE(t *table.Table, maxLHS int) []FD {
 	// case) so constant columns are reported with an empty LHS.
 	for a := 0; a < nCols; a++ {
 		s := attrset(0).with(a)
-		if nRows > 1 && parts[s].errSum == nRows-1 {
+		if nRows > 1 && parts[s].Err() == nRows-1 {
 			emit(0, a)
 			// A is constant: no minimal FD with A on the LHS side adds
 			// information, and X → A is non-minimal for any X ≠ ∅.
@@ -115,8 +118,10 @@ func DiscoverTANE(t *table.Table, maxLHS int) []FD {
 			// π_X = π_Y · π_Z for two size-(k) subsets; use any split.
 			a := firstMember(x, nCols)
 			y := x.without(a)
-			if parts[x] == nil && parts[y] != nil && parts[attrset(0).with(a)] != nil {
-				parts[x] = productPartition(parts[y], parts[attrset(0).with(a)], nRows)
+			if parts[x] == nil && parts[y] != nil {
+				p := &table.Partition{}
+				e.z.Refine(p, parts[y], e.codes[a], e.codeSizes[a])
+				parts[x] = p
 			}
 		}
 		level = next
@@ -186,86 +191,10 @@ func generateNextLevel(level []attrset, nCols int) []attrset {
 	return next
 }
 
-// partition is a stripped partition: only equivalence classes with at
-// least two rows, plus the cached error Σ(|c|-1). The class count with
-// singletons is nRows - errSum, so X → A holds iff errSum(X) ==
-// errSum(X ∪ A).
-type partition struct {
-	classes [][]int32
-	errSum  int
-}
-
-func singletonPartition(codes []uint32, nRows int) *partition {
-	// Group rows in first-seen order rather than by ranging over a
-	// map, so the class list is identical on every run (map iteration
-	// order is randomized and would reorder classes).
-	idx := make(map[uint32]int32, 64)
-	var groups [][]int32
-	for r := 0; r < nRows; r++ {
-		g, ok := idx[codes[r]]
-		if !ok {
-			g = int32(len(groups))
-			idx[codes[r]] = g
-			groups = append(groups, nil)
-		}
-		groups[g] = append(groups[g], int32(r))
-	}
-	p := &partition{}
-	for _, g := range groups {
-		if len(g) >= 2 {
-			p.classes = append(p.classes, g)
-			p.errSum += len(g) - 1
-		}
-	}
-	return p
-}
-
-// productPartition computes the stripped partition of X ∪ Y from the
-// partitions of X and Y (the TANE PRODUCT procedure, linear in the
-// class sizes).
-func productPartition(a, b *partition, nRows int) *partition {
-	t := make([]int32, nRows)
-	for i := range t {
-		t[i] = -1
-	}
-	for i, cls := range a.classes {
-		for _, r := range cls {
-			t[r] = int32(i)
-		}
-	}
-	// Bucket in first-seen order (see singletonPartition): the class
-	// list must not inherit map iteration order.
-	idx := make(map[int64]int32, 64)
-	var groups [][]int32
-	for j, cls := range b.classes {
-		for _, r := range cls {
-			if t[r] < 0 {
-				continue // singleton in a: stays singleton in the product
-			}
-			key := int64(t[r])<<32 | int64(j)
-			g, ok := idx[key]
-			if !ok {
-				g = int32(len(groups))
-				idx[key] = g
-				groups = append(groups, nil)
-			}
-			groups[g] = append(groups[g], r)
-		}
-	}
-	p := &partition{}
-	for _, g := range groups {
-		if len(g) >= 2 {
-			p.classes = append(p.classes, g)
-			p.errSum += len(g) - 1
-		}
-	}
-	return p
-}
-
 // partErr returns the partition error of x, computing (and caching)
 // the partition from the engine's codes when the levelwise products
 // did not materialize it.
-func partErr(parts map[attrset]*partition, e *engine, x attrset) int {
+func partErr(parts map[attrset]*table.Partition, e *engine, x attrset) int {
 	if x == 0 {
 		if e.nRows == 0 {
 			return 0
@@ -273,12 +202,12 @@ func partErr(parts map[attrset]*partition, e *engine, x attrset) int {
 		return e.nRows - 1
 	}
 	if p, ok := parts[x]; ok && p != nil {
-		return p.errSum
+		return p.Err()
 	}
-	// |π_X| = card(X) ⇒ errSum = nRows - card(X).
+	// |π_X| = card(X) ⇒ Err = nRows - card(X).
 	return e.nRows - e.card(x)
 }
 
-func partitionsEqualError(parts map[attrset]*partition, e *engine, lhs, x attrset) bool {
+func partitionsEqualError(parts map[attrset]*table.Partition, e *engine, lhs, x attrset) bool {
 	return partErr(parts, e, lhs) == partErr(parts, e, x)
 }

@@ -117,21 +117,9 @@ func splitCols(cols []int, f fd.FD) [][]int {
 }
 
 // dedupe returns a copy of t with duplicate rows removed (projection
-// semantics). Rows are grouped by their canonical-code hashes and kept
-// in first-seen order.
+// semantics): the first row of every distinct tuple, in row order.
 func dedupe(t *table.Table) *table.Table {
-	n := t.NumRows()
-	hashes := t.RowHashes(allIndices(t.NumCols()))
-	seen := make(map[uint64]struct{}, n)
-	keep := make([]int, 0, n/2+1)
-	for r := 0; r < n; r++ {
-		if _, ok := seen[hashes[r]]; ok {
-			continue
-		}
-		seen[hashes[r]] = struct{}{}
-		keep = append(keep, r)
-	}
-	return t.SelectRows(keep)
+	return t.SelectRows(t.DistinctRows(allIndices(t.NumCols())))
 }
 
 func allIndices(n int) []int {

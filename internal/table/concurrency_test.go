@@ -94,7 +94,8 @@ func TestConcurrentBuildExactlyOnce(t *testing.T) {
 				tb.CanonCodes(c)
 				tb.DistinctCount([]int{c})
 			}
-			tb.RowHashes([]int{0, 1})
+			tb.DistinctCount([]int{0, 1})
+			tb.DistinctRows([]int{0, 1})
 			v.key = tb.SchemaKey()
 			views[g] = v
 		}(g)

@@ -8,7 +8,7 @@ import (
 	"ogdp/internal/values"
 )
 
-// FNV-64a parameters, shared by HashValue, RowHashes, and the encoded
+// FNV-64a parameters, shared by HashValue and the encoded
 // value-hash sets so every layer agrees on what a value hashes to.
 const (
 	fnvOffset64 = 14695981039346656037
@@ -254,9 +254,9 @@ func (t *Table) buildEncoding(slot *colSlot, c int) *Encoding {
 // of their code space: all null spellings share code 0 and the k-th
 // distinct non-null value (in ascending raw order) is k+1, so two rows
 // agree on the column exactly when their codes are equal. The slice is
-// shared and must not be mutated. FD partition refinement and row
-// hashing run entirely on these streams; reads are lock-free after the
-// stream's exactly-once build.
+// shared and must not be mutated. Partition refinement (FD discovery,
+// distinct counts, deduplication) runs entirely on these streams;
+// reads are lock-free after the stream's exactly-once build.
 func (t *Table) CanonCodes(c int) (codes []uint32, size int) {
 	return t.Encoding(c).CanonCodes()
 }

@@ -2,8 +2,10 @@
 // study operates on: columnar storage with a lazily built dictionary
 // encoding per column (sorted distinct values, dense uint32 codes),
 // cached column profiles (inferred type, null ratio, distinct values,
-// uniqueness score), and the projection/hashing primitives used by key
-// discovery, functional dependency mining, and join analysis.
+// uniqueness score), and the projection primitives used by key
+// discovery, functional dependency mining, and join analysis: value
+// hashes for joins, and exact stripped partitions (Partition) for
+// distinct counts and duplicate removal.
 //
 // Raw strings are kept as the ingest and serialization representation
 // (Data); every analysis hot path runs on the encoded form instead and
@@ -57,8 +59,8 @@ type RaggedCells struct {
 // Table is a named relational table. Values are stored column-major as
 // raw CSV strings; nulls are any value for which values.IsNull is true.
 //
-// Profile, Profiles, Encoding, CanonCodes, SchemaKey, and
-// DistinctCount are safe for concurrent use (lock-free after first
+// Profile, Profiles, Encoding, CanonCodes, SchemaKey, DistinctCount
+// and DistinctRows are safe for concurrent use (lock-free after first
 // publication; see the package comment for the publication contract),
 // so analyses may share a table across goroutines as long as none of
 // them mutates Cols or Data. Mutation (AppendRow, direct Data writes
@@ -416,34 +418,10 @@ func (t *Table) SchemaKey() string {
 	return key
 }
 
-// RowHashes returns one 64-bit hash per row over the given column
-// subset, suitable for distinct counting and duplicate-row grouping.
-// Hashes are mixed from the columns' canonical codes, so all null
-// spellings of a cell compare equal and two rows collide exactly when
-// they agree on every projected column (up to 64-bit hash collisions).
-func (t *Table) RowHashes(cols []int) []uint64 {
-	n := t.NumRows()
-	hashes := make([]uint64, n)
-	for i := range hashes {
-		hashes[i] = fnvOffset64
-	}
-	for _, c := range cols {
-		codes, _ := t.CanonCodes(c)
-		for r := 0; r < n; r++ {
-			h := hashes[r]
-			h ^= uint64(codes[r])
-			h *= fnvPrime64
-			h ^= 0x1f // field separator
-			h *= fnvPrime64
-			hashes[r] = h
-		}
-	}
-	return hashes
-}
-
 // DistinctCount returns the number of distinct tuples in the projection
-// of the table onto cols. With an empty projection it returns 1 when
-// the table has rows (the empty tuple) and 0 otherwise.
+// of the table onto cols, counted exactly by partition refinement (see
+// Partition). With an empty projection it returns 1 when the table has
+// rows (the empty tuple) and 0 otherwise.
 func (t *Table) DistinctCount(cols []int) int {
 	if len(cols) == 0 {
 		if t.NumRows() > 0 {
@@ -462,11 +440,7 @@ func (t *Table) DistinctCount(cols []int) int {
 		}
 		return d
 	}
-	seen := make(map[uint64]struct{}, t.NumRows())
-	for _, h := range t.RowHashes(cols) {
-		seen[h] = struct{}{}
-	}
-	return len(seen)
+	return t.NumRows() - t.partitionBy(cols).Err()
 }
 
 // String returns a short description, e.g. "awards.csv (5 cols × 120 rows)".
