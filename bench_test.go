@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -680,24 +681,39 @@ func BenchmarkAblationExactVsFuzzyUnion(b *testing.B) {
 // ---- End-to-end ----
 
 // BenchmarkStudyParallel measures the full four-portal study at the
-// harness default scale across worker counts. workers-1 is the
-// sequential baseline that the speedups recorded in EXPERIMENTS.md
-// are quoted against; every variant produces byte-identical results
-// (see TestStudyDeterministicAcrossWorkers). The dedicated scaling
-// harness with the CI-enforced threshold is cmd/ogdpscaling
-// (BENCH_scaling.json holds its reference numbers).
+// harness default scale across worker counts; workers-1 is the
+// sequential baseline the speedups in EXPERIMENTS.md are quoted
+// against. It also holds the determinism contract: every later worker
+// count must produce the workers-1 StudyResult, once Options (which
+// records the worker count) and each portal's generated corpus (deeply
+// equal, but built per run) are set aside. CI's bench-storage job runs
+// it with -benchtime=1x -count 2, times the second pass, and fails when
+// the best speedup misses 0.75 × min(4, nproc), or 0.85 on one core.
 func BenchmarkStudyParallel(b *testing.B) {
 	counts := []int{1, 2, 4, 8}
 	if p := runtime.GOMAXPROCS(0); p != 1 && p != 2 && p != 4 && p != 8 {
 		counts = append(counts, p)
 	}
+	var baseline *core.StudyResult
 	for _, w := range counts {
 		b.Run(fmt.Sprintf("workers-%d", w), func(b *testing.B) {
+			var sr *core.StudyResult
 			for i := 0; i < b.N; i++ {
-				core.Run(gen.Profiles(), core.Options{
+				sr = core.Run(gen.Profiles(), core.Options{
 					Scale: benchScale, Seed: 100, MaxFDTables: 150,
 					SamplePerCell: 8, UnionSamples: 10, Workers: w,
 				})
+			}
+			b.StopTimer()
+			sr.Options = core.Options{}
+			for i := range sr.Portals {
+				sr.Portals[i].Corpus = nil
+			}
+			switch {
+			case w == 1:
+				baseline = sr
+			case baseline != nil && !reflect.DeepEqual(sr, baseline):
+				b.Fatalf("workers-%d study result differs from workers-1", w)
 			}
 		})
 	}

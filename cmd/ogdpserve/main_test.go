@@ -2,23 +2,28 @@ package main
 
 import (
 	"bufio"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"regexp"
 	"strings"
 	"sync"
+	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 )
 
 // TestServeEndToEnd drives the built ogdpserve binary through its
 // whole lifecycle: load a corpus, answer every endpoint with bodies
-// byte-identical to the one-shot ogdpsearch CLI, and exit cleanly on
-// SIGINT with in-flight work drained.
+// byte-identical to the one-shot ogdpsearch CLI, take a concurrent
+// burst over all five query endpoints without a failed request, and
+// exit cleanly with in-flight work drained, on SIGINT and on SIGTERM.
 func TestServeEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs binaries")
@@ -29,7 +34,16 @@ func TestServeEndToEnd(t *testing.T) {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
 	corpus := writeCorpus(t)
+	for _, sig := range []os.Signal{os.Interrupt, syscall.SIGTERM} {
+		t.Run(sig.String(), func(t *testing.T) {
+			serveLifecycle(t, bin, corpus, sig)
+		})
+	}
+}
 
+// serveLifecycle runs one server from start to drain, stopping it
+// with sig.
+func serveLifecycle(t *testing.T, bin, corpus string, sig os.Signal) {
 	serve := exec.Command(filepath.Join(bin, "ogdpserve"), "-dir", corpus, "-addr", "127.0.0.1:0")
 	stderr, err := serve.StderrPipe()
 	if err != nil {
@@ -112,15 +126,17 @@ func TestServeEndToEnd(t *testing.T) {
 		}
 	}
 
-	// SIGINT must drain and exit 0. Drain stderr to EOF before Wait:
-	// Wait closes the pipe and would drop the shutdown log lines.
-	if err := serve.Process.Signal(os.Interrupt); err != nil {
+	burst(t, base)
+
+	// The signal must drain and exit 0. Drain stderr to EOF before
+	// Wait: Wait closes the pipe and would drop the shutdown log lines.
+	if err := serve.Process.Signal(sig); err != nil {
 		t.Fatal(err)
 	}
 	select {
 	case <-stderrDone:
 	case <-time.After(15 * time.Second):
-		t.Fatal("ogdpserve stderr still open 15s after SIGINT")
+		t.Fatalf("ogdpserve stderr still open 15s after %v", sig)
 	}
 	done := make(chan error, 1)
 	go func() { done <- serve.Wait() }()
@@ -130,13 +146,96 @@ func TestServeEndToEnd(t *testing.T) {
 			t.Fatalf("ogdpserve exited with %v", err)
 		}
 	case <-time.After(15 * time.Second):
-		t.Fatal("ogdpserve did not exit within 15s of SIGINT")
+		t.Fatalf("ogdpserve did not exit within 15s of %v", sig)
 	}
 	tailMu.Lock()
 	logs := tail.String()
 	tailMu.Unlock()
 	if !strings.Contains(logs, "shut down cleanly") {
 		t.Errorf("no clean-shutdown log line:\n%s", logs)
+	}
+}
+
+// Burst shape: burstWorkers clients issue burstRequests requests each.
+const (
+	burstWorkers  = 4
+	burstRequests = 40
+)
+
+// burst pushes a concurrent mixed load at the server. Each client
+// cycles through every (endpoint, table) pair that answered a probe
+// with 200, varying k so that most requests miss the result cache. A
+// 429 counts as rejected, backpressure working as designed; any other
+// status or a transport error fails the test.
+func burst(t *testing.T, base string) {
+	t.Helper()
+	resp, err := http.Get(base + "/tables")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var inv struct {
+		Tables []struct {
+			Name string `json:"name"`
+		} `json:"tables"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&inv)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatalf("decode /tables: %v", err)
+	}
+
+	// A table a query cannot answer (no join-eligible column, say) is
+	// left out of the burst rather than counted as a server failure.
+	var targets []string
+	for _, ep := range []string{"/join", "/union", "/profile", "/fd", "/search"} {
+		answered := len(targets)
+		for _, tb := range inv.Tables {
+			path := ep + "?" + url.Values{"table": {tb.Name}}.Encode()
+			resp, err := http.Get(base + path)
+			if err != nil {
+				t.Fatalf("probe %s: %v", path, err)
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode == http.StatusOK {
+				targets = append(targets, path)
+			}
+		}
+		if len(targets) == answered {
+			t.Fatalf("no table answers %s, so the burst would not cover it", ep)
+		}
+	}
+
+	var ok, rejected atomic.Int64
+	var wg sync.WaitGroup
+	for w := range burstWorkers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range burstRequests {
+				path := fmt.Sprintf("%s&k=%d", targets[(w*burstRequests+i)%len(targets)], 1+i%8)
+				resp, err := http.Get(base + path)
+				if err != nil {
+					t.Errorf("burst GET %s: %v", path, err)
+					continue
+				}
+				body, _ := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				switch resp.StatusCode {
+				case http.StatusOK:
+					ok.Add(1)
+				case http.StatusTooManyRequests:
+					rejected.Add(1)
+				default:
+					t.Errorf("burst GET %s: status %d: %s", path, resp.StatusCode, body)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	t.Logf("burst: %d requests, %d ok, %d rejected", burstWorkers*burstRequests, ok.Load(), rejected.Load())
+	if ok.Load() == 0 {
+		t.Error("no burst request succeeded")
 	}
 }
 

@@ -227,19 +227,27 @@ func (s *Server) download(w http.ResponseWriter, r *http.Request) {
 		s.deliver(w, sp, key, http.StatusNotFound, "text/plain; charset=utf-8", []byte("not found\n"))
 		return
 	}
-	switch res.Broken {
+	status, contentType, body := res.Download()
+	s.deliver(w, sp, key, status, contentType, body)
+}
+
+// Download is what the portal answers at the resource's URL: a 404 or
+// the HTML page or binary garbage of a broken resource, else the
+// resource's own bytes as CSV.
+func (r *Resource) Download() (status int, contentType string, body []byte) {
+	switch r.Broken {
 	case BrokenNotFound:
-		s.deliver(w, sp, key, http.StatusNotFound, "text/plain; charset=utf-8", []byte("not found\n"))
+		return http.StatusNotFound, "text/plain; charset=utf-8", []byte("not found\n")
 	case BrokenHTMLPage:
 		page := []byte("<!DOCTYPE html><html><body><h1>Resource moved</h1><p>This dataset is no longer available at this address.</p></body></html>")
-		s.deliver(w, sp, key, http.StatusOK, "text/html", page)
+		return http.StatusOK, "text/html", page
 	case BrokenGarbage:
 		garbage := make([]byte, 512)
 		for i := range garbage {
 			garbage[i] = byte(i*7 + 3)
 		}
-		s.deliver(w, sp, key, http.StatusOK, "application/octet-stream", garbage)
+		return http.StatusOK, "application/octet-stream", garbage
 	default:
-		s.deliver(w, sp, key, http.StatusOK, "text/csv", res.Body)
+		return http.StatusOK, "text/csv", r.Body
 	}
 }

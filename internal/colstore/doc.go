@@ -3,13 +3,13 @@
 // views over a read-only memory mapping, so a saved corpus can be
 // served to the study without re-parsing CSVs or materializing rows.
 //
-// # On-disk format (version 1, little-endian)
+// # On-disk format (version 2, little-endian)
 //
 // A file is header, metadata, column blocks, footer:
 //
 //	offset  size  field
 //	0       8     magic "OGDPCOL\x01"
-//	8       4     format version (1)
+//	8       4     format version (2)
 //	12      4     column count
 //	16      8     row count
 //	24      8     content hash (FNV-64a of the CSV serialization)
@@ -18,7 +18,7 @@
 //	48      8     directory offset
 //	56      8     data offset (start of the column blocks)
 //	64      8     total file size (truncation guard)
-//	72      8     header checksum
+//	72      8     header checksum (CRC-32C, zero-extended)
 //	80      ...   table name (offset/length in the directory region)
 //
 // The directory holds one fixed-size entry per column giving the
@@ -34,8 +34,8 @@
 //	value hashes   hashN × uint64 ascending distinct non-null hashes
 //	hash counts    hashN × int32 multiplicities aligned with hashes
 //
-// The footer is the FNV-64a checksum of the column blocks followed by
-// the end magic "OGDPEND\x01". The header checksum covers everything
+// The footer is the CRC-32C checksum of the column blocks, zero-extended
+// to 8 bytes, followed by the end magic "OGDPEND\x01". The header checksum covers everything
 // before the data offset (except the checksum field itself), so a
 // reader validates structure before trusting any offset, and the body
 // checksum detects bit rot in the blocks themselves.
@@ -47,7 +47,9 @@
 // optional trailing blocks may be added without a bump only if older
 // readers can ignore them through the existing offsets (the file size
 // field guards the footer position, so additions require a bump in
-// practice — prefer bumping).
+// practice — prefer bumping). Version 2 replaced version 1's byte-serial
+// FNV-64a checksums with CRC-32C; a version-1 file is rejected, and a
+// corpus loader then re-parses the table's CSV.
 //
 // # Reading
 //

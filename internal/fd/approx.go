@@ -1,6 +1,7 @@
 package fd
 
 import (
+	"slices"
 	"sort"
 
 	"ogdp/internal/table"
@@ -76,37 +77,19 @@ func DiscoverApproximate(t *table.Table, maxLHS int, maxError float64) []ApproxF
 	return out
 }
 
-// g3Error computes the g3 measure of X → a: group rows by their X
-// projection; within each group the rows that keep the majority a
-// value stay, the rest must be removed.
+// g3Error computes the g3 measure of X → a: partition the rows by X;
+// within each class the rows that keep the majority a value stay, the
+// rest must be removed. With X empty all rows form one class.
 func (e *engine) g3Error(x attrset, a int) float64 {
-	cols := x.members(e.nCols)
-	type groupKey = uint64
-	// group hash -> (a-code -> count)
-	groups := make(map[groupKey]map[uint32]int, 256)
-	const prime64 = 1099511628211
-	for r := 0; r < e.nRows; r++ {
-		var h uint64 = 14695981039346656037
-		for _, c := range cols {
-			h ^= uint64(e.codes[c][r])
-			h *= prime64
+	var keep int
+	if x == 0 {
+		counts := make([]int, e.codeSizes[a])
+		for _, c := range e.codes[a] {
+			counts[c]++
 		}
-		m := groups[h]
-		if m == nil {
-			m = make(map[uint32]int, 4)
-			groups[h] = m
-		}
-		m[e.codes[a][r]]++
-	}
-	keep := 0
-	for _, m := range groups {
-		best := 0
-		for _, n := range m {
-			if n > best {
-				best = n
-			}
-		}
-		keep += best
+		keep = slices.Max(counts)
+	} else {
+		keep = e.z.Majority(e.partition(x), e.nRows, e.codes[a], e.codeSizes[a])
 	}
 	return float64(e.nRows-keep) / float64(e.nRows)
 }

@@ -125,3 +125,53 @@ func TestCardEdgeCases(t *testing.T) {
 		})
 	}
 }
+
+// naiveG3 is the g3 error of lhs → rhs from string-keyed groups: the
+// fraction of rows outside their group's most common rhs value.
+func naiveG3(t *table.Table, lhs []int, rhs int) float64 {
+	n := t.NumRows()
+	if n == 0 {
+		return 0
+	}
+	counts := map[string]map[string]int{}
+	for r := 0; r < n; r++ {
+		k := tupleKey(t, lhs, r)
+		if counts[k] == nil {
+			counts[k] = map[string]int{}
+		}
+		counts[k][tupleKey(t, []int{rhs}, r)]++
+	}
+	keep := 0
+	for _, byValue := range counts {
+		best := 0
+		for _, c := range byValue {
+			best = max(best, c)
+		}
+		keep += best
+	}
+	return float64(n-keep) / float64(n)
+}
+
+// TestG3ErrorMatchesNaive compares g3 with the string-keyed count for
+// the empty LHS and every LHS of up to three columns, and every RHS
+// outside it, on the partition-kernel edge tables. One engine answers
+// every question, as in DiscoverApproximate, so its partition chain
+// carries across unrelated sets.
+func TestG3ErrorMatchesNaive(t *testing.T) {
+	for _, tb := range cardEdgeTables() {
+		t.Run(tb.Name, func(t *testing.T) {
+			e := newEngine(tb)
+			for _, s := range append([]attrset{0}, enumerateSets(tb.NumCols(), 3)...) {
+				lhs := s.members(tb.NumCols())
+				for a := 0; a < tb.NumCols(); a++ {
+					if s.has(a) {
+						continue
+					}
+					if got, want := e.g3Error(s, a), naiveG3(tb, lhs, a); got != want {
+						t.Fatalf("g3(%v -> %d) = %g, want %g", lhs, a, got, want)
+					}
+				}
+			}
+		})
+	}
+}

@@ -2,6 +2,7 @@ package fd
 
 import (
 	"reflect"
+	"slices"
 	"strconv"
 	"testing"
 
@@ -132,6 +133,12 @@ func FuzzDiscover(f *testing.F) {
 		want := fdStrings(Discover(dedupeRows(tb.Project(cols)), MaxLHS))
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("DiscoverCols(%v) %v, built projection %v\nrows %v", cols, got, want, tb.Rows())
+		}
+		for a := 0; a < tb.NumCols(); a++ {
+			lhs := slices.DeleteFunc(slices.Clone(cols), func(c int) bool { return c == a })
+			if g3, naive := G3Error(tb, FD{LHS: lhs, RHS: a}), naiveG3(tb, lhs, a); g3 != naive {
+				t.Fatalf("G3Error(%v -> %d) = %g, naive %g\nrows %v", lhs, a, g3, naive, tb.Rows())
+			}
 		}
 	})
 }

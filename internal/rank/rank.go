@@ -233,20 +233,7 @@ func columnOverlap(a, b *table.Table) float64 {
 	for c := 0; c < n; c++ {
 		ha := a.Profile(c).ValueHashes()
 		hb := b.Profile(c).ValueHashes()
-		inter := 0
-		i, j := 0, 0
-		for i < len(ha) && j < len(hb) {
-			switch {
-			case ha[i] == hb[j]:
-				inter++
-				i++
-				j++
-			case ha[i] < hb[j]:
-				i++
-			default:
-				j++
-			}
-		}
+		inter := table.IntersectSize(ha, hb)
 		unionSize := len(ha) + len(hb) - inter
 		if unionSize > 0 {
 			sum += float64(inter) / float64(unionSize)

@@ -103,3 +103,34 @@ func TestGradesShape(t *testing.T) {
 		t.Error("oracle graded no pair relevant on a generated corpus")
 	}
 }
+
+// ndcgFloor is the quality floor of the ranked search: NDCG@DefaultK
+// on every study portal, for the exact candidate path and for the
+// recall-safe 64×2 banding the /search endpoint runs by default.
+const ndcgFloor = 0.9
+
+// TestNDCGFloor grades the ranked engine against the generator's
+// planted ground truth on all four study portals (scale 0.1, seed 1)
+// and fails when a checked configuration's NDCG@k drops below the
+// floor.
+func TestNDCGFloor(t *testing.T) {
+	configs := []struct {
+		name string
+		opts search.Options
+	}{
+		{"exact", search.Options{MinUnique: search.MinUniqueDefault, ExactCutoff: math.MaxInt}},
+		{"lsh-64x2", search.Options{MinUnique: search.MinUniqueDefault, ExactCutoff: 1, Bands: 64, Rows: 2}},
+	}
+	for _, prof := range gen.Profiles() {
+		c := gen.Generate(prof, 0.1, 1)
+		grades := Grades(c)
+		for _, cfg := range configs {
+			r := Evaluate(c, grades, cfg.opts, DefaultK, 0)
+			t.Logf("%s %-8s ndcg@%d=%.3f p@%d=%.3f r@%d=%.3f verified=%d",
+				prof.Name, cfg.name, DefaultK, r.NDCG, DefaultK, r.Precision, DefaultK, r.Recall, r.Verified)
+			if r.NDCG < ndcgFloor {
+				t.Errorf("%s %s: NDCG@%d %.3f below the floor %.2f", prof.Name, cfg.name, DefaultK, r.NDCG, ndcgFloor)
+			}
+		}
+	}
+}

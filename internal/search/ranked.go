@@ -314,30 +314,12 @@ func (e *Engine) rankCandidates(q *table.ColumnProfile, exclude int) []colOverla
 			continue
 		}
 		verified++
-		if n := intersectSize(q.ValueHashes(), e.profiles[id].ValueHashes()); n > 0 {
+		if n := table.IntersectSize(q.ValueHashes(), e.profiles[id].ValueHashes()); n > 0 {
 			out = append(out, colOverlap{id: int32(id), overlap: n})
 		}
 	}
 	e.stats.note(len(ids), verified)
 	return out
-}
-
-// intersectSize counts common elements of two ascending hash slices.
-func intersectSize(a, b []uint64) int {
-	n, i, j := 0, 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] == b[j]:
-			n++
-			i++
-			j++
-		case a[i] < b[j]:
-			i++
-		default:
-			j++
-		}
-	}
-	return n
 }
 
 // pairEvidence is the best joinable column pair found for one

@@ -174,8 +174,12 @@ func (s *Server) answerQuery(w http.ResponseWriter, r *http.Request, kind string
 	}
 	req = req.Normalize()
 
-	w.Header().Set("X-Ogdp-Corpus", s.svc.HashString())
-	key := s.svc.HashString() + " " + req.Key()
+	// One read of the service per request: the header, the cache key
+	// and the body all come from the same corpus.
+	svc := s.svc
+	hash := svc.HashString()
+	w.Header().Set("X-Ogdp-Corpus", hash)
+	key := hash + " " + req.Key()
 	if body, ok := s.cache.Get(key); ok {
 		s.cacheHits.Inc()
 		w.Header().Set("X-Ogdp-Cache", "hit")
@@ -198,7 +202,7 @@ func (s *Server) answerQuery(w http.ResponseWriter, r *http.Request, kind string
 	}
 	defer release()
 
-	body, err := s.svc.Do(ctx, req)
+	body, err := svc.Do(ctx, req)
 	switch {
 	case err == nil:
 	case errors.Is(err, query.ErrNotFound):
@@ -265,17 +269,19 @@ func (s *Server) handleTables(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		status = s.textError(w, http.StatusMethodNotAllowed, "only GET is supported")
 	} else {
+		svc := s.svc
+		hash := svc.HashString()
 		w.Header().Set("Content-Type", "application/json")
-		w.Header().Set("X-Ogdp-Corpus", s.svc.HashString())
+		w.Header().Set("X-Ogdp-Corpus", hash)
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(tablesResponse{
-			Portal:    s.svc.PortalID(),
-			Corpus:    s.svc.HashString(),
-			NumTables: s.svc.NumTables(),
-			Indexed:   s.svc.NumIndexed(),
+			Portal:    svc.PortalID(),
+			Corpus:    hash,
+			NumTables: svc.NumTables(),
+			Indexed:   svc.NumIndexed(),
 			Kinds:     query.Kinds(),
-			Tables:    s.svc.Tables(),
+			Tables:    svc.Tables(),
 		}); err != nil {
 			status = http.StatusInternalServerError
 		}

@@ -78,6 +78,25 @@ func (e *Encoding) ValueHashes() []uint64 { return e.hashes }
 // The slice is shared and must not be mutated.
 func (e *Encoding) ValueHashCounts() []int32 { return e.hashCounts }
 
+// IntersectSize counts the elements two ascending slices share, such
+// as two columns' ValueHashes: their distinct-value overlap.
+func IntersectSize(a, b []uint64) int {
+	n, i, j := 0, 0, 0
+	for i < len(a) && j < len(b) {
+		switch {
+		case a[i] == b[j]:
+			n++
+			i++
+			j++
+		case a[i] < b[j]:
+			i++
+		default:
+			j++
+		}
+	}
+	return n
+}
+
 // encodeColumn builds the eager part of a column's encoding (the canon
 // stream is materialized separately, on demand).
 func encodeColumn(col []string) *Encoding {

@@ -177,6 +177,34 @@ func (z *Partitioner) Count(src *Partition, nRows int, codes []uint32, size int)
 	return n
 }
 
+// Majority returns how many of nRows rows keep the most common a-code
+// of their class in src, the partition of X, given a's codes (code
+// space size): each class keeps the rows of its most frequent code, and
+// each row outside src's classes keeps itself. nRows minus it is the
+// number of rows the g3 measure of X → a removes.
+func (z *Partitioner) Majority(src *Partition, nRows int, codes []uint32, size int) int {
+	z.fit(size)
+	keep := nRows - len(src.rows)
+	start := int32(0)
+	for _, end := range src.ends {
+		class := src.rows[start:end]
+		start = end
+		gen := z.next()
+		best := int32(0)
+		for _, r := range class {
+			c := codes[r]
+			if z.stamp[c] != gen {
+				z.stamp[c] = gen
+				z.slot[c] = 0
+			}
+			z.slot[c]++
+			best = max(best, z.slot[c])
+		}
+		keep += int(best)
+	}
+	return keep
+}
+
 // resize returns s with length n, reallocating only when the capacity
 // is short. The contents are not preserved across a reallocation.
 func resize(s []int32, n int) []int32 {

@@ -241,3 +241,23 @@ func BenchmarkDistinctCount(b *testing.B) {
 		tb.DistinctCount([]int{0, 1, 2})
 	}
 }
+
+func TestIntersectSize(t *testing.T) {
+	for _, c := range []struct {
+		a, b []uint64
+		want int
+	}{
+		{nil, nil, 0},
+		{[]uint64{1, 2, 3}, nil, 0},
+		{[]uint64{1, 3, 5, 7}, []uint64{2, 3, 4, 7, 9}, 2},
+		{[]uint64{4, 8}, []uint64{4, 8}, 2},
+		{[]uint64{1, 2}, []uint64{3, 4}, 0},
+	} {
+		if got := IntersectSize(c.a, c.b); got != c.want {
+			t.Errorf("IntersectSize(%v, %v) = %d, want %d", c.a, c.b, got, c.want)
+		}
+		if got := IntersectSize(c.b, c.a); got != c.want {
+			t.Errorf("IntersectSize(%v, %v) = %d, want %d", c.b, c.a, got, c.want)
+		}
+	}
+}
