@@ -20,7 +20,6 @@ import (
 	"os"
 
 	"ogdp/cmd/internal/cli"
-	"ogdp/internal/diskcorpus"
 	"ogdp/internal/ingest"
 	"ogdp/internal/query"
 )
@@ -68,7 +67,7 @@ func main() {
 	// directory changes underneath it.
 	var patched *query.Service
 	if *verify {
-		src, err := diskcorpus.LoadStudy(*corpusDir)
+		src, err := cli.LoadCorpus(*corpusDir, log.Default())
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -84,7 +83,7 @@ func main() {
 		len(plan.Added)+len(plan.Updated), len(plan.Deleted))
 
 	if *verify {
-		src, err := diskcorpus.LoadStudy(*corpusDir)
+		src, err := cli.LoadCorpus(*corpusDir, log.Default())
 		if err != nil {
 			log.Fatal(err)
 		}

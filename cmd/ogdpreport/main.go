@@ -22,7 +22,6 @@ import (
 
 	"ogdp/cmd/internal/cli"
 	"ogdp/internal/core"
-	"ogdp/internal/diskcorpus"
 	"ogdp/internal/gen"
 	"ogdp/internal/report"
 )
@@ -64,14 +63,9 @@ func main() {
 	sw := cli.Start()
 	var res *core.StudyResult
 	if *dir != "" {
-		src, err := diskcorpus.LoadStudy(*dir)
+		src, err := cli.LoadCorpus(*dir, log.Default())
 		if err != nil {
 			log.Fatal(err)
-		}
-		if dc, ok := src.(*diskcorpus.Corpus); ok {
-			for _, s := range dc.Skips {
-				log.Printf("skipped %s", s)
-			}
 		}
 		res = &core.StudyResult{Options: opts, Portals: []core.PortalResult{core.RunPortal(src, opts)}}
 	} else {

@@ -1,13 +1,13 @@
-// Command ogdpsearch runs one-shot queries over a directory of CSV
-// files through the same execution-and-rendering layer
-// (internal/query) as the long-lived ogdpserve service, so its output
-// is byte-identical to the corresponding server response bodies.
+// Command ogdpsearch runs one-shot queries over a saved corpus
+// directory through the same loader and the same execution-and-rendering
+// layer (internal/query) as the long-lived ogdpserve service, so its
+// output is byte-identical to the corresponding server response bodies.
 //
 // The default mode is discovery search: given a query table (and
 // optionally a column), it prints the top-k joinable columns by exact
 // value overlap (the JOSIE-style operation behind Auctus and Toronto
-// Open Data Search), the same search accelerated with MinHash/LSH for
-// comparison, and the unionable tables, ranked. -mode rank prints the
+// Open Data Search), then the unionable tables, ranked — the /join
+// body, a blank line, and the /union body. -mode rank prints the
 // table-level ranked integration hypotheses (the /search endpoint's
 // semantics: value, schema, and metadata evidence combined into one
 // weighted score); -mode profile the per-column profile; -mode fd the
@@ -29,10 +29,7 @@ import (
 	"os"
 
 	"ogdp/cmd/internal/cli"
-	"ogdp/internal/diskcorpus"
-	"ogdp/internal/minhash"
 	"ogdp/internal/query"
-	"ogdp/internal/search"
 )
 
 func main() {
@@ -54,92 +51,43 @@ func main() {
 	if *dir == "" || *qname == "" {
 		log.Fatal("-dir and -query are required")
 	}
+	var reqs []query.Request
+	switch *mode {
+	case "search":
+		reqs = []query.Request{
+			{Kind: query.KindJoin, Table: *qname, Col: *col, K: *k},
+			{Kind: query.KindUnion, Table: *qname, K: *k},
+		}
+	case "rank", "profile", "fd":
+		reqs = []query.Request{{Kind: *mode, Table: *qname, K: *k, MaxLHS: *lhs}}
+	default:
+		log.Fatalf("unknown -mode %q (want search, rank, profile, or fd)", *mode)
+	}
 
 	sw := cli.Start()
 	loadSpan := ob.Trace().Child("load")
-	c, err := diskcorpus.Load(*dir)
+	src, err := cli.LoadCorpus(*dir, log.Default())
 	if err != nil {
 		log.Fatal(err)
 	}
-	loadSpan.AddItems(len(c.Tables))
-	svc := query.New(c, query.Options{Workers: *workers})
+	svc := query.New(src, query.Options{Workers: *workers})
+	loadSpan.AddItems(svc.NumTables())
 	loadSpan.End()
-	ti := svc.TableIndex(*qname)
-	if ti < 0 {
-		log.Fatalf("query table %s not found in %s", *qname, *dir)
-	}
 
-	switch *mode {
-	case "search":
-		runSearch(ob, svc, c, ti, *col, *k)
-	case "rank", "profile", "fd":
-		span := ob.Trace().Child(*mode)
-		out, err := svc.Do(context.Background(), query.Request{
-			Kind: *mode, Table: *qname, K: *k, MaxLHS: *lhs,
-		})
+	for i, req := range reqs {
+		span := ob.Trace().Child(req.Kind)
+		out, err := svc.Do(context.Background(), req)
 		if err != nil {
 			log.Fatal(err)
 		}
 		span.End()
+		if i > 0 {
+			fmt.Print("\n")
+		}
 		fmt.Print(out)
-	default:
-		log.Fatalf("unknown -mode %q (want search, rank, profile, or fd)", *mode)
 	}
 	sw.PrintCompleted(os.Stdout)
 	if err := ob.Finish(os.Stdout); err != nil {
 		log.Fatal(err)
 	}
-}
-
-// runSearch prints the discovery-search report: the exact join
-// search and the union search come from the shared renderers (the
-// parity surface with ogdpserve's /join and /union), with the
-// LSH-accelerated comparison — a CLI-only diagnostic — in between.
-func runSearch(ob *cli.Obs, svc *query.Service, c *diskcorpus.Corpus, ti int, col string, k int) {
-	ci, err := svc.PickColumn(ti, col)
-	if err != nil {
-		log.Fatalf("no eligible query column in %s", c.Tables[ti].Name)
-	}
-	fmt.Print(svc.HeaderText(ti, ci))
-	fmt.Print("\n")
-
-	joinSpan := ob.Trace().Child("join-search")
-	fmt.Print(svc.JoinText(ti, ci, k))
-	joinSpan.End()
-
-	lshSpan := ob.Trace().Child("lsh")
-	fmt.Printf("\nLSH (MinHash 128, 16×8 bands) candidates at est. J >= 0.8:\n")
-	tables := c.Tables
-	q := tables[ti]
-	ix := minhash.NewIndex(16, 8)
-	var refs []search.ColumnRef
-	for t2, t := range tables {
-		if t2 == ti {
-			continue
-		}
-		for c := range t.Cols {
-			p := t.Profile(c)
-			if p.Distinct < search.MinUniqueDefault {
-				continue
-			}
-			ix.Add(minhash.Sketch(p.ValueHashes(), 128))
-			refs = append(refs, search.ColumnRef{Table: t2, Column: c})
-		}
-	}
-	qsig := minhash.Sketch(q.Profile(ci).ValueHashes(), 128)
-	for i, cand := range ix.Query(qsig, 0.8) {
-		if i == k {
-			break
-		}
-		ref := refs[cand.ID]
-		t := tables[ref.Table]
-		fmt.Printf("  est=%.3f  %s.%s\n", cand.Estimate, t.Name, t.Cols[ref.Column])
-	}
-	lshSpan.AddTasks(len(refs))
-	lshSpan.End()
-
-	unionSpan := ob.Trace().Child("union")
-	fmt.Print("\n")
-	fmt.Print(svc.UnionText(ti, k))
-	unionSpan.End()
 }

@@ -41,7 +41,6 @@ import (
 	"time"
 
 	"ogdp/cmd/internal/cli"
-	"ogdp/internal/diskcorpus"
 	"ogdp/internal/query"
 	"ogdp/internal/serve"
 )
@@ -68,14 +67,9 @@ func main() {
 	}
 
 	start := time.Now()
-	src, err := diskcorpus.LoadStudy(*dir)
+	src, err := cli.LoadCorpus(*dir, log.Default())
 	if err != nil {
 		log.Fatal(err)
-	}
-	if dc, ok := src.(*diskcorpus.Corpus); ok {
-		for _, s := range dc.Skips {
-			log.Printf("skipped %s", s)
-		}
 	}
 	svc := query.New(src, query.Options{Workers: *workers, Registry: ob.Registry()})
 	log.Printf("loaded %d tables, %d join-indexed columns from %s in %s",

@@ -87,14 +87,11 @@ func serveLifecycle(t *testing.T, bin, corpus string, sig os.Signal) {
 
 	// Every query endpoint must reproduce the one-shot CLI's output
 	// for the same question, byte for byte (the CLI's trailing
-	// "\ncompleted in ..." timing epilogue aside).
+	// "\ncompleted in ..." timing epilogue aside). The default search
+	// mode prints the /join body, a blank line, and the /union body.
 	searchOut := runCLI(t, filepath.Join(bin, "ogdpsearch"),
 		"-dir", corpus, "-query", "landings.csv", "-col", "species", "-k", "5")
-	joinWant, _, found := strings.Cut(searchOut, "\nLSH (MinHash")
-	if !found {
-		t.Fatalf("no LSH section in ogdpsearch output:\n%s", searchOut)
-	}
-	_, unionWant, found := strings.Cut(searchOut, "\nunionable tables")
+	joinWant, unionWant, found := strings.Cut(searchOut, "\nunionable tables")
 	if !found {
 		t.Fatalf("no union section in ogdpsearch output:\n%s", searchOut)
 	}

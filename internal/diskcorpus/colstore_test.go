@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"ogdp/internal/colstore"
-	"ogdp/internal/csvio"
 	"ogdp/internal/gen"
 	"ogdp/internal/table"
 )
@@ -24,11 +23,14 @@ func genDir(t *testing.T) string {
 	return dir
 }
 
-func TestLoadPrefersSidecar(t *testing.T) {
+// TestLoadIgnoresSidecar pins that the generic loader never reads a
+// colstore file: even one stamped with the CSV's own content hash is
+// passed over, without a ledger entry, for the cleaning parse.
+func TestLoadIgnoresSidecar(t *testing.T) {
 	dir := t.TempDir()
 	body := "id,name\n1,a\n2,b\n"
 	write(t, dir, "good.csv", body)
-	src := table.FromRows("good.csv", []string{"id", "name"}, [][]string{{"1", "a"}, {"2", "b"}})
+	src := table.FromRows("good.csv", []string{"id", "name"}, [][]string{{"1", "a"}})
 	if _, err := colstore.WriteFile(filepath.Join(dir, "good.csv"+colstore.Ext), src, colstore.HashBytes([]byte(body))); err != nil {
 		t.Fatal(err)
 	}
@@ -40,65 +42,9 @@ func TestLoadPrefersSidecar(t *testing.T) {
 	if len(c.Tables) != 1 || len(c.Skips) != 0 {
 		t.Fatalf("tables=%d skips=%v", len(c.Tables), c.Skips)
 	}
-	if !c.Tables[0].Encoded() {
-		t.Fatal("table should be served encoding-backed from the sidecar")
-	}
-	if got := csvio.Bytes(c.Tables[0]); string(got) != body {
-		t.Fatalf("sidecar table serializes to %q, want %q", got, body)
-	}
-}
-
-func TestLoadStaleSidecarFallsBack(t *testing.T) {
-	dir := t.TempDir()
-	src := table.FromRows("good.csv", []string{"id", "name"}, [][]string{{"1", "a"}})
-	if _, err := colstore.WriteFile(filepath.Join(dir, "good.csv"+colstore.Ext), src, colstore.HashBytes(csvio.Bytes(src))); err != nil {
-		t.Fatal(err)
-	}
-	// The CSV has since been edited; the sidecar's stamp no longer matches.
-	write(t, dir, "good.csv", "id,name\n1,a\n2,b\n")
-
-	c, err := Load(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(c.Tables) != 1 || c.Tables[0].NumRows() != 2 {
-		t.Fatalf("want the 2-row CSV parse, got %v", c.Tables)
-	}
-	if c.Tables[0].Encoded() {
-		t.Fatal("stale sidecar must not be served")
-	}
-	if len(c.Skips) != 1 || c.Skips[0].Name != "good.csv"+colstore.Ext ||
-		!strings.Contains(c.Skips[0].Reason, "stale") {
-		t.Fatalf("skip ledger = %v, want one stale-sidecar entry", c.Skips)
-	}
-}
-
-func TestLoadCorruptSidecarFallsBack(t *testing.T) {
-	dir := t.TempDir()
-	body := "id,name\n1,a\n"
-	write(t, dir, "good.csv", body)
-	src := table.FromRows("good.csv", []string{"id", "name"}, [][]string{{"1", "a"}})
-	path := filepath.Join(dir, "good.csv"+colstore.Ext)
-	if _, err := colstore.WriteFile(path, src, colstore.HashBytes([]byte(body))); err != nil {
-		t.Fatal(err)
-	}
-	b, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, b[:len(b)-10], 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	c, err := Load(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(c.Tables) != 1 || c.Tables[0].Encoded() {
-		t.Fatalf("truncated sidecar should fall back to CSV parse")
-	}
-	if len(c.Skips) != 1 || !strings.Contains(c.Skips[0].Reason, "truncated") {
-		t.Fatalf("skip ledger = %v, want truncated-sidecar entry", c.Skips)
+	if c.Tables[0].Encoded() || c.Tables[0].NumRows() != 2 {
+		t.Fatalf("got %d rows (encoded %v), want the 2-row CSV parse",
+			c.Tables[0].NumRows(), c.Tables[0].Encoded())
 	}
 }
 
@@ -122,23 +68,47 @@ func TestLoadStudyNotesGenCorpus(t *testing.T) {
 	}
 }
 
-func TestLoadStudyNotesCorruptColstoreFallsBack(t *testing.T) {
-	dir := genDir(t)
+// firstColstore returns the path of the first colstore file in dir.
+func firstColstore(t *testing.T, dir string) string {
+	t.Helper()
 	ents, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var victim string
 	for _, e := range ents {
 		if strings.HasSuffix(e.Name(), colstore.Ext) {
-			victim = e.Name()
-			break
+			return filepath.Join(dir, e.Name())
 		}
 	}
-	if victim == "" {
-		t.Fatal("no colstore files written")
+	t.Fatal("no colstore files written")
+	return ""
+}
+
+// assertFallback loads dir and checks that exactly the table behind
+// the colstore file at path fell back to its CSV, with one note whose
+// reason contains want.
+func assertFallback(t *testing.T, dir, path, want string) {
+	t.Helper()
+	victim := strings.TrimSuffix(filepath.Base(path), colstore.Ext)
+	src, skips, err := LoadStudyNotes(dir)
+	if err != nil {
+		t.Fatalf("unusable colstore must fall back, not fail: %v", err)
 	}
-	path := filepath.Join(dir, victim)
+	if len(skips) != 1 || skips[0].Name != victim || !strings.Contains(skips[0].Reason, want) {
+		t.Fatalf("skips = %v, want one %q note for %s", skips, want, victim)
+	}
+	gc := src.(*gen.Corpus)
+	for _, m := range gc.Metas {
+		if m.Table.Encoded() != (m.Table.Name != victim) {
+			t.Fatalf("%s: encoded %v; only %s should have been re-parsed from CSV",
+				m.Table.Name, m.Table.Encoded(), victim)
+		}
+	}
+}
+
+func TestLoadStudyNotesCorruptColstoreFallsBack(t *testing.T) {
+	dir := genDir(t)
+	path := firstColstore(t, dir)
 	b, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -147,25 +117,34 @@ func TestLoadStudyNotesCorruptColstoreFallsBack(t *testing.T) {
 	if err := os.WriteFile(path, b, 0o644); err != nil {
 		t.Fatal(err)
 	}
+	assertFallback(t, dir, path, "checksum mismatch")
+}
 
-	src, skips, err := LoadStudyNotes(dir)
+func TestLoadStudyNotesTruncatedColstoreFallsBack(t *testing.T) {
+	dir := genDir(t)
+	path := firstColstore(t, dir)
+	b, err := os.ReadFile(path)
 	if err != nil {
-		t.Fatalf("corrupt colstore must fall back, not fail: %v", err)
+		t.Fatal(err)
 	}
-	if len(skips) != 1 || skips[0].Name != strings.TrimSuffix(victim, colstore.Ext) ||
-		!strings.Contains(skips[0].Reason, "checksum mismatch") {
-		t.Fatalf("skips = %v, want one checksum-mismatch note for %s", skips, victim)
+	if err := os.WriteFile(path, b[:len(b)-10], 0o644); err != nil {
+		t.Fatal(err)
 	}
-	gc := src.(*gen.Corpus)
-	i := -1
-	for j, m := range gc.Metas {
-		if m.Table.Name == strings.TrimSuffix(victim, colstore.Ext) {
-			i = j
-		}
+	assertFallback(t, dir, path, "truncated")
+}
+
+// TestLoadStudyNotesStaleColstoreFallsBack replaces one colstore file
+// with an intact one stamped with another content hash, as a file left
+// over from an older version of the table would be. It must be passed
+// over for the CSV the provenance describes.
+func TestLoadStudyNotesStaleColstoreFallsBack(t *testing.T) {
+	dir := genDir(t)
+	path := firstColstore(t, dir)
+	old := table.FromRows("old.csv", []string{"x"}, [][]string{{"1"}})
+	if _, err := colstore.WriteFile(path, old, colstore.HashBytes([]byte("x\n1\n"))); err != nil {
+		t.Fatal(err)
 	}
-	if i < 0 || gc.Metas[i].Table.Encoded() {
-		t.Fatal("victim table should have been re-parsed from CSV")
-	}
+	assertFallback(t, dir, path, "colstore stale")
 }
 
 func TestLoadStudyRejectsMissingTable(t *testing.T) {

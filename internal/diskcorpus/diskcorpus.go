@@ -11,7 +11,6 @@ import (
 	"strings"
 	"time"
 
-	"ogdp/internal/colstore"
 	"ogdp/internal/corpus"
 	"ogdp/internal/csvio"
 	"ogdp/internal/gen"
@@ -45,15 +44,10 @@ type Corpus struct {
 	// Datasets are the dataset records from the manifest (nil without
 	// one).
 	Datasets []corpus.Dataset
-	// Skipped counts files that failed sniffing or parsing.
-	Skipped int
-	// SkippedWide counts files rejected by the wide-table cutoff.
-	SkippedWide int
 	// Skips is the per-file skip ledger, in file-name order: every
-	// counted skip (including wide-table rejections), every colstore
-	// sidecar passed over (stale, truncated, corrupt — the CSV was
-	// re-parsed instead), plus a malformed datasets.json, each with its
-	// reason.
+	// file that failed reading, sniffing or parsing (including
+	// wide-table rejections), plus a malformed datasets.json, each with
+	// its reason.
 	Skips []Skip
 	// Manifest reports whether a datasets.json manifest was found and
 	// parsed.
@@ -70,8 +64,7 @@ func (c *Corpus) TableMetas() []corpus.TableMeta { return c.Metas }
 func (c *Corpus) DatasetMetas() []corpus.Dataset { return c.Datasets }
 
 // ColumnEncoding implements corpus.ColumnSource: column-level access
-// to the loaded tables without materializing rows. For tables served
-// from colstore sidecars the encodings alias the read-only mapping.
+// to the loaded tables without materializing rows.
 func (c *Corpus) ColumnEncoding(ti, col int) *table.Encoding {
 	return c.Tables[ti].Encoding(col)
 }
@@ -87,7 +80,10 @@ func (c *Corpus) ByName(name string) int {
 	return -1
 }
 
-// Load reads every *.csv file under dir (non-recursive).
+// Load reads every *.csv file under dir (non-recursive) through the
+// cleaning pipeline. It never reads colstore files: a directory that
+// has them was written by gen.SaveCorpus, and LoadStudy sends it to
+// gen.LoadCorpusNotes, which validates them.
 func Load(dir string) (*Corpus, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -106,26 +102,12 @@ func Load(dir string) (*Corpus, error) {
 		body, err := os.ReadFile(filepath.Join(dir, name))
 		if err != nil {
 			c.Skips = append(c.Skips, Skip{Name: name, Reason: fmt.Sprintf("read: %v", err)})
-			c.Skipped++
 			continue
 		}
-		t, sidecarReason := loadSidecar(dir, name, body)
-		if sidecarReason != "" {
-			c.Skips = append(c.Skips, Skip{Name: name + colstore.Ext, Reason: sidecarReason})
-		}
+		t, reason := parse(name, body)
 		if t == nil {
-			var reason string
-			var wide bool
-			t, reason, wide = parse(name, body)
-			if t == nil {
-				c.Skips = append(c.Skips, Skip{Name: name, Reason: reason})
-				if wide {
-					c.SkippedWide++
-				} else {
-					c.Skipped++
-				}
-				continue
-			}
+			c.Skips = append(c.Skips, Skip{Name: name, Reason: reason})
+			continue
 		}
 		c.Tables = append(c.Tables, t)
 		c.Metas = append(c.Metas, corpus.TableMeta{Table: t, RawSize: int64(len(body))})
@@ -134,34 +116,6 @@ func Load(dir string) (*Corpus, error) {
 		c.Skips = append(c.Skips, Skip{Name: manifestFile, Reason: err.Error()})
 	}
 	return c, nil
-}
-
-// loadSidecar serves name from its colstore sidecar when one exists
-// and its stamped content hash matches the CSV bytes on disk (the
-// sidecar is then the exact table the CSV was written from, and its
-// encodings alias a read-only mapping instead of being rebuilt). An
-// absent sidecar returns (nil, ""); a present-but-unusable one —
-// truncated, corrupt, or stale against an edited CSV — returns nil
-// with the reason for the skip ledger, and the caller re-parses the
-// CSV.
-func loadSidecar(dir, name string, body []byte) (*table.Table, string) {
-	path := filepath.Join(dir, name+colstore.Ext)
-	if _, err := os.Stat(path); err != nil {
-		return nil, ""
-	}
-	t, hash, err := colstore.Load(path)
-	if err != nil {
-		return nil, fmt.Sprintf("sidecar unusable (%v); re-parsed CSV", err)
-	}
-	if want := colstore.HashBytes(body); hash != want {
-		return nil, fmt.Sprintf("sidecar stale (stamped %016x, CSV hashes to %016x); re-parsed CSV", hash, want)
-	}
-	if t.NumCols() == 0 || t.NumRows() == 0 {
-		// Mirror parse's empty-table rejection so both paths skip the
-		// file identically.
-		return nil, ""
-	}
-	return t, ""
 }
 
 // LoadStudy loads dir as a study-ready corpus source: a directory
@@ -198,16 +152,14 @@ func LoadStudyNotes(dir string) (corpus.Source, []Skip, error) {
 	return c, c.Skips, nil
 }
 
-// parse runs the sniff/read pipeline. On failure t is nil, reason
-// says why, and wide distinguishes the wide-table cutoff (its own
-// counter) from the general skip counter. The body is wrapped in a
-// bytes.Reader, not copied through a string: with corpora of
-// thousands of CSVs, duplicating every file during load doubled the
-// loader's transient footprint for nothing.
-func parse(name string, body []byte) (t *table.Table, reason string, wide bool) {
+// parse runs the sniff/read pipeline. On failure t is nil and reason
+// says why. The body is wrapped in a bytes.Reader, not copied through
+// a string: with corpora of thousands of CSVs, duplicating every file
+// during load doubled the loader's transient footprint for nothing.
+func parse(name string, body []byte) (t *table.Table, reason string) {
 	format := sniff.Detect(body)
 	if !format.IsTabular() {
-		return nil, fmt.Sprintf("undetected format (sniffed %s, want csv or tsv)", format), false
+		return nil, fmt.Sprintf("undetected format (sniffed %s, want csv or tsv)", format)
 	}
 	opts := csvio.Options{}
 	if format == sniff.FormatTSV {
@@ -216,14 +168,14 @@ func parse(name string, body []byte) (t *table.Table, reason string, wide bool) 
 	parsed, err := csvio.ReadWith(name, bytes.NewReader(body), opts)
 	if err != nil {
 		if errors.Is(err, csvio.ErrTooWide) {
-			return nil, fmt.Sprintf("too wide: %v", err), true
+			return nil, fmt.Sprintf("too wide: %v", err)
 		}
-		return nil, fmt.Sprintf("csv: %v", err), false
+		return nil, fmt.Sprintf("csv: %v", err)
 	}
 	if parsed.NumCols() == 0 || parsed.NumRows() == 0 {
-		return nil, "empty after parsing (no rows or no columns)", false
+		return nil, "empty after parsing (no rows or no columns)"
 	}
-	return parsed, "", false
+	return parsed, ""
 }
 
 // manifestDataset mirrors the ogdpgen manifest entry; minimal

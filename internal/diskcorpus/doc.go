@@ -5,8 +5,11 @@
 // counterpart of the ckan fetch path — the same defects the portals
 // serve over HTTP (preamble rows, trailing empty columns, non-CSV
 // bodies behind .csv names) are handled here for files already on
-// disk, so ogdpinspect and ogdpsearch study a directory exactly the
-// way ogdpreport studies a live portal.
+// disk, so ogdpreport -dir, ogdpsearch and ogdpserve study a directory
+// exactly the way ogdpreport studies a live portal. They all load
+// through LoadStudyNotes, which sends a directory written by ogdpgen
+// (it carries provenance.json) to gen.LoadCorpusNotes, the one loader
+// that reads colstore files, and any other directory to Load.
 //
 // When an ogdpgen manifest (datasets.json) is present, tables are
 // attached to their datasets so intra-dataset signals — the dataset

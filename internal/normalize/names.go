@@ -1,6 +1,6 @@
 package normalize
 
-import "strings"
+import "ogdp/internal/table"
 
 // SchemaNameSimilarity measures how similar two schemas' column names
 // are: the Jaccard similarity of their normalized name-token sets.
@@ -31,35 +31,9 @@ func SchemaNameSimilarity(a, b []string) float64 {
 func schemaTokens(cols []string) map[string]struct{} {
 	out := map[string]struct{}{}
 	for _, name := range cols {
-		for _, tok := range nameTokens(name) {
+		for _, tok := range table.NameTokens(name) {
 			out[tok] = struct{}{}
 		}
 	}
 	return out
-}
-
-// nameTokens splits one column name into normalized tokens: lower-case
-// alphanumeric runs with purely numeric runs removed.
-func nameTokens(name string) []string {
-	fields := strings.FieldsFunc(strings.ToLower(name), func(r rune) bool {
-		return !(r >= 'a' && r <= 'z') && !(r >= '0' && r <= '9')
-	})
-	out := fields[:0]
-	for _, f := range fields {
-		if isNumeric(f) {
-			continue
-		}
-		out = append(out, f)
-	}
-	return out
-}
-
-// isNumeric reports whether s is a non-empty digit run.
-func isNumeric(s string) bool {
-	for i := 0; i < len(s); i++ {
-		if s[i] < '0' || s[i] > '9' {
-			return false
-		}
-	}
-	return len(s) > 0
 }

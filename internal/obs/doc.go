@@ -32,7 +32,7 @@
 //
 // [NewDebugHandler] exposes the registry at /metrics (Prometheus text
 // format) alongside the net/http/pprof profiles; the long-running
-// CLIs (ogdpfetch, ogdpjoin, ogdpfd) mount it behind -debug-addr.
+// fetch CLI (ogdpfetch) mounts it behind -debug-addr.
 //
 // The paper (Usta, Liu, Salihoğlu, EDBT 2024) reports per-portal,
 // per-stage funnel numbers (Tables 1–2); this package is how the

@@ -2,7 +2,6 @@ package rank
 
 import (
 	"sort"
-	"strings"
 
 	"ogdp/internal/classify"
 	"ogdp/internal/join"
@@ -197,27 +196,16 @@ func nameOverlap(a, b string) float64 {
 	return float64(inter) / float64(len(ta)+len(tb)-inter)
 }
 
+// nameTokens is the table.NameTokens set of a table's file name,
+// without the "csv" extension token every name shares.
 func nameTokens(name string) map[string]struct{} {
 	out := map[string]struct{}{}
-	tok := strings.FieldsFunc(strings.ToLower(name), func(r rune) bool {
-		return !(r >= 'a' && r <= 'z') && !(r >= '0' && r <= '9')
-	})
-	for _, t := range tok {
-		if t == "csv" || t == "" || isNumber(t) {
-			continue
+	for _, t := range table.NameTokens(name) {
+		if t != "csv" {
+			out[t] = struct{}{}
 		}
-		out[t] = struct{}{}
 	}
 	return out
-}
-
-func isNumber(s string) bool {
-	for i := 0; i < len(s); i++ {
-		if s[i] < '0' || s[i] > '9' {
-			return false
-		}
-	}
-	return len(s) > 0
 }
 
 // columnOverlap averages the per-column Jaccard similarity of distinct

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -258,6 +259,24 @@ func TestIntersectSize(t *testing.T) {
 		}
 		if got := IntersectSize(c.b, c.a); got != c.want {
 			t.Errorf("IntersectSize(%v, %v) = %d, want %d", c.b, c.a, got, c.want)
+		}
+	}
+}
+
+func TestNameTokens(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		want string
+	}{
+		{"Species_ID", "species,id"},
+		{"species id", "species,id"},
+		{"housing-2019.csv", "housing,csv"},
+		{"part2", "part2"},
+		{"2019", ""},
+		{"", ""},
+	} {
+		if got := strings.Join(NameTokens(tc.name), ","); got != tc.want {
+			t.Errorf("NameTokens(%q) = %q, want %q", tc.name, got, tc.want)
 		}
 	}
 }
