@@ -112,63 +112,74 @@ func corrupt(t *testing.T, want string, f func(b []byte) []byte) {
 	}
 }
 
-func TestCorruptTruncated(t *testing.T) {
-	corrupt(t, "truncated", func(b []byte) []byte { return b[:len(b)/2] })
+// restamp recomputes both checksums of a colstore image in place, so a
+// deliberate change past them reaches the structural validation. An
+// image too damaged to locate its regions is left as it is.
+func restamp(b []byte) []byte {
+	if uint64(len(b)) < headerSize+footerSize {
+		return b
+	}
+	le := binary.LittleEndian
+	dataOff := le.Uint64(b[offDataOff:])
+	bodyEnd := uint64(len(b)) - footerSize
+	if dataOff < headerSize || dataOff > bodyEnd {
+		return b
+	}
+	le.PutUint64(b[bodyEnd:], checksum(b[dataOff:bodyEnd]))
+	le.PutUint64(b[offHeaderSum:], checksum(b[:offHeaderSum], b[headerSize:dataOff]))
+	return b
 }
 
-func TestCorruptTruncatedBelowHeader(t *testing.T) {
-	corrupt(t, "truncated", func(b []byte) []byte { return b[:17] })
-}
-
-func TestCorruptBadMagic(t *testing.T) {
-	corrupt(t, "bad magic", func(b []byte) []byte {
+// The damaged-image cases. The TestCorrupt* tests run each through
+// Load and name the error it must report; FuzzColstoreDecode starts
+// from them.
+var (
+	truncateHalf        = func(b []byte) []byte { return b[:len(b)/2] }
+	truncateBelowHeader = func(b []byte) []byte { return b[:17] }
+	badMagic            = func(b []byte) []byte {
 		b[0] = 'X'
 		return b
-	})
-}
-
-func TestCorruptBadVersion(t *testing.T) {
-	corrupt(t, "unsupported format version", func(b []byte) []byte {
+	}
+	// The version changes under a valid header checksum, so the
+	// version check is what fires.
+	badVersion = func(b []byte) []byte {
 		binary.LittleEndian.PutUint32(b[offVersion:], 99)
-		// Keep the header checksum valid so the version check is what fires.
-		dataOff := binary.LittleEndian.Uint64(b[offDataOff:])
-		binary.LittleEndian.PutUint64(b[offHeaderSum:], checksum(b[:offHeaderSum], b[headerSize:dataOff]))
-		return b
-	})
-}
-
-func TestCorruptHeaderChecksum(t *testing.T) {
-	corrupt(t, "header checksum mismatch", func(b []byte) []byte {
+		return restamp(b)
+	}
+	flipHeader = func(b []byte) []byte {
 		b[offNumRows] ^= 1
 		return b
-	})
-}
-
-func TestCorruptBodyChecksum(t *testing.T) {
-	corrupt(t, "body checksum mismatch", func(b []byte) []byte {
-		dataOff := binary.LittleEndian.Uint64(b[offDataOff:])
-		b[dataOff] ^= 0xff
+	}
+	flipBody = func(b []byte) []byte {
+		b[binary.LittleEndian.Uint64(b[offDataOff:])] ^= 0xff
 		return b
-	})
-}
-
-func TestCorruptCodeOutOfRange(t *testing.T) {
-	corrupt(t, "out of dictionary range", func(b []byte) []byte {
+	}
+	// Column 0's first code points past its dictionary under valid
+	// checksums, so only the semantic validation can catch it.
+	codeOutOfRange = func(b []byte) []byte {
 		le := binary.LittleEndian
-		// Column 0's codes block: overwrite the first code with a value
-		// beyond its dictionary, then re-stamp both checksums so only the
-		// semantic validation can catch it.
-		dirOff := le.Uint64(b[offDirOff:])
-		base := dirOff + dirHeadSize
-		codesOff := le.Uint64(b[base+deCodesOff*8:])
-		le.PutUint32(b[codesOff:], 1<<30)
-		dataOff := le.Uint64(b[offDataOff:])
-		bodyEnd := uint64(len(b)) - footerSize
-		le.PutUint64(b[bodyEnd:], checksum(b[dataOff:bodyEnd]))
-		le.PutUint64(b[offHeaderSum:], checksum(b[:offHeaderSum], b[headerSize:dataOff]))
-		return b
-	})
-}
+		base := le.Uint64(b[offDirOff:]) + dirHeadSize
+		le.PutUint32(b[le.Uint64(b[base+deCodesOff*8:]):], 1<<30)
+		return restamp(b)
+	}
+	corruptions = []func([]byte) []byte{
+		truncateHalf, truncateBelowHeader, badMagic, badVersion, flipHeader, flipBody, codeOutOfRange,
+	}
+)
+
+func TestCorruptTruncated(t *testing.T) { corrupt(t, "truncated", truncateHalf) }
+
+func TestCorruptTruncatedBelowHeader(t *testing.T) { corrupt(t, "truncated", truncateBelowHeader) }
+
+func TestCorruptBadMagic(t *testing.T) { corrupt(t, "bad magic", badMagic) }
+
+func TestCorruptBadVersion(t *testing.T) { corrupt(t, "unsupported format version", badVersion) }
+
+func TestCorruptHeaderChecksum(t *testing.T) { corrupt(t, "header checksum mismatch", flipHeader) }
+
+func TestCorruptBodyChecksum(t *testing.T) { corrupt(t, "body checksum mismatch", flipBody) }
+
+func TestCorruptCodeOutOfRange(t *testing.T) { corrupt(t, "out of dictionary range", codeOutOfRange) }
 
 func TestAtomicWriteLeavesNoTemp(t *testing.T) {
 	dir := t.TempDir()

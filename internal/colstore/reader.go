@@ -37,8 +37,18 @@ func (v *view) bytes(off, n uint64) ([]byte, error) {
 	return v.b[off : off+n], nil
 }
 
+// elems bounds-checks a block of n elements of size bytes each. The
+// count is checked before it is multiplied, so a forged count cannot
+// wrap the block's length around to a small number.
+func (v *view) elems(off, n, size uint64) ([]byte, error) {
+	if n > uint64(len(v.b))/size {
+		return nil, fmt.Errorf("block of %d %d-byte elements exceeds the file (%d bytes)", n, size, len(v.b))
+	}
+	return v.bytes(off, n*size)
+}
+
 func (v *view) u32s(off, n uint64) ([]uint32, error) {
-	b, err := v.bytes(off, n*4)
+	b, err := v.elems(off, n, 4)
 	if err != nil || n == 0 {
 		return nil, err
 	}
@@ -53,7 +63,7 @@ func (v *view) u32s(off, n uint64) ([]uint32, error) {
 }
 
 func (v *view) i32s(off, n uint64) ([]int32, error) {
-	b, err := v.bytes(off, n*4)
+	b, err := v.elems(off, n, 4)
 	if err != nil || n == 0 {
 		return nil, err
 	}
@@ -68,7 +78,7 @@ func (v *view) i32s(off, n uint64) ([]int32, error) {
 }
 
 func (v *view) u64s(off, n uint64) ([]uint64, error) {
-	b, err := v.bytes(off, n*8)
+	b, err := v.elems(off, n, 8)
 	if err != nil || n == 0 {
 		return nil, err
 	}
@@ -192,6 +202,11 @@ func decode(b []byte) (*table.Table, uint64, error) {
 // entry, aliasing the mapping wherever alignment permits.
 func decodeColumn(v *view, d *[12]uint64, nrows uint64) (*table.Encoding, error) {
 	dictN, hashN := d[deDictN], d[deHashN]
+	// Every entry takes file bytes, so a count past the file's length
+	// is forged; rejecting it keeps dictN+1 and dictN+7 from wrapping.
+	if dictN > uint64(len(v.b)) {
+		return nil, fmt.Errorf("dictionary of %d entries overruns the file (%d bytes)", dictN, len(v.b))
+	}
 	dictOffs, err := v.u32s(d[deDictOffsOff], dictN+1)
 	if err != nil {
 		return nil, fmt.Errorf("dict offsets: %w", err)

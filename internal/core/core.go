@@ -376,12 +376,27 @@ func runPortal(src corpus.Source, opts Options, span *obs.Span) PortalResult {
 	// lock-free caches instead of racing to fill them. Flat granularity
 	// matters — the old per-table fan-out (with a sequential inner
 	// column loop) serialized behind the corpus's few giant tables.
+	//
+	// With opts.Compress the same fan-out also carries Table 1's
+	// deflate, one unit per table: units [0, g) each write one table's
+	// CompressedSize into its index-addressed slot, scheduled first as
+	// the heavier units, and units [g, g+len(units)) are the column
+	// caches. Sizes folds the slots in table order.
 	fdTables := fdSubset(metas, opts.MaxFDTables)
 	cacheSpan := span.Child("precompute")
 	units := precomputeUnits(tables, fdTables)
-	cacheSpan.AddTasks(len(units))
-	parallel.Must(parallel.ForEach(parallel.WithPool(bg, "precompute"), len(units), opts.Workers, func(i int) {
-		u := units[i]
+	var compressed []int64
+	if opts.Compress {
+		compressed = make([]int64, len(tables))
+	}
+	g := len(compressed)
+	cacheSpan.AddTasks(g + len(units))
+	parallel.Must(parallel.ForEach(parallel.WithPool(bg, "precompute"), g+len(units), opts.Workers, func(i int) {
+		if i < g {
+			compressed[i] = profile.CompressedSize(tables[i])
+			return
+		}
+		u := units[i-g]
 		u.t.Profile(u.c)
 		if u.canon {
 			u.t.CanonCodes(u.c)
@@ -415,7 +430,7 @@ func runPortal(src corpus.Source, opts Options, span *obs.Span) PortalResult {
 
 	sections := []func(){
 		func() { // ---- profiling (§3) ----
-			pc := profileCorpus(pr.Portal, metas)
+			pc := profileCorpus(pr.Portal, metas, compressed)
 			if opts.FetchFunnel {
 				pc.Funnel = measureFunnel(src, pr.Portal, opts, secProfile.Child("funnel"))
 			}
@@ -582,17 +597,24 @@ func extensionStats(src corpus.Source, tables []*table.Table, fdTables []*table.
 	return ext
 }
 
-func profileCorpus(portal string, metas []corpus.TableMeta) *profile.Corpus {
+// profileCorpus builds §3's input. compressed holds the tables'
+// precomputed CompressedSize in metas order, or is nil when Table 1's
+// compression is off.
+func profileCorpus(portal string, metas []corpus.TableMeta, compressed []int64) *profile.Corpus {
 	pc := &profile.Corpus{Portal: portal}
 	pc.Tables = make([]profile.TableInfo, 0, len(metas))
-	for _, m := range metas {
-		pc.Tables = append(pc.Tables, profile.TableInfo{
+	for i, m := range metas {
+		ti := profile.TableInfo{
 			Table:     m.Table,
 			DatasetID: m.DatasetID,
 			Published: m.Published,
 			RawSize:   m.RawSize,
 			Metadata:  m.Metadata,
-		})
+		}
+		if compressed != nil {
+			ti.CompressedBytes = compressed[i]
+		}
+		pc.Tables = append(pc.Tables, ti)
 	}
 	return pc
 }

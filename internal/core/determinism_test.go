@@ -23,6 +23,9 @@ func TestStudyDeterministicAcrossWorkers(t *testing.T) {
 		SamplePerCell: 4,
 		UnionSamples:  8,
 		Sensitivity:   true,
+		// Table 1's deflate runs as precompute units on the pooled
+		// writers; Compress keeps them in the comparison and under -race.
+		Compress: true,
 	}
 	if raceEnabled {
 		// The race detector is what matters here (the DeepEqual runs

@@ -6,9 +6,10 @@
 package profile
 
 import (
-	"bytes"
 	"compress/gzip"
+	"io"
 	"sort"
+	"sync"
 	"time"
 
 	"ogdp/internal/stats"
@@ -24,6 +25,9 @@ type TableInfo struct {
 	Published time.Time
 	// RawSize is the serialized CSV size in bytes.
 	RawSize int64
+	// CompressedBytes is the table's CompressedSize when the caller
+	// measured it ahead of Sizes; 0 means not measured.
+	CompressedBytes int64
 	// Metadata is the dataset's dictionary style (ckan.MetadataStyle
 	// as an int: 0 lacking, 1 structured, 2 unstructured, 3 outside).
 	Metadata int
@@ -67,10 +71,9 @@ type PortalSizes struct {
 	TruncatedCells int64
 }
 
-// Sizes computes Table 1 for the corpus. Compression is measured with
-// gzip over each table's CSV serialization (sampled for very large
-// corpora: every table is counted, but bodies over sampleCap bytes are
-// compressed on a prefix and extrapolated).
+// Sizes computes Table 1 for the corpus. With compress set it sums each
+// table's CompressedSize: the TableInfo's CompressedBytes when a caller
+// measured it already, a fresh measurement when it is 0.
 func Sizes(c *Corpus, compress bool) PortalSizes {
 	ps := PortalSizes{Portal: c.Portal}
 	perDS := map[string]int{}
@@ -107,27 +110,41 @@ func Sizes(c *Corpus, compress bool) PortalSizes {
 		ps.Readable = len(c.Tables)
 	}
 	if compress {
-		ps.CompressedBytes = compressedSize(c)
+		for _, ti := range c.Tables {
+			n := ti.CompressedBytes
+			if n == 0 {
+				n = CompressedSize(ti.Table)
+			}
+			ps.CompressedBytes += n
+		}
 		ps.CompressionSampled = true
 	}
 	return ps
 }
 
-// compressedSize gzips each table's CSV body and sums the output
-// sizes. To bound cost, bodies are reconstructed from tables (the
-// corpus does not keep raw bytes) and large tables are compressed on a
-// sampled prefix of rows with linear extrapolation.
-func compressedSize(c *Corpus) int64 {
-	var total int64
-	for _, ti := range c.Tables {
-		total += gzipSizeOf(ti.Table, ti.RawSize)
-	}
-	return total
-}
-
 const sampleRows = 4096
 
-func gzipSizeOf(t *table.Table, rawSize int64) int64 {
+// gzipWriters pools Table 1's compressors. A gzip.Writer carries about
+// 814 KB of flate state; Reset rewinds it onto the next table's
+// counter, and the stream it writes is the one a fresh writer at the
+// same level would.
+var gzipWriters = sync.Pool{New: func() any { return gzip.NewWriter(io.Discard) }}
+
+// byteCounter is an io.Writer that keeps only how many bytes it was
+// given: Table 1 needs the compressed length, not the stream.
+type byteCounter int64
+
+func (n *byteCounter) Write(p []byte) (int, error) {
+	*n += byteCounter(len(p))
+	return len(p), nil
+}
+
+// CompressedSize is one table's gzip size (default level) over its CSV
+// serialization. The corpus does not keep raw bytes, so the body is
+// rebuilt from the table; tables over sampleRows rows are compressed
+// on that prefix and the size extrapolated linearly. The result is
+// never 0, since a gzip stream has a header. Safe for concurrent use.
+func CompressedSize(t *table.Table) int64 {
 	n := t.NumRows()
 	sample := t
 	frac := 1.0
@@ -135,17 +152,20 @@ func gzipSizeOf(t *table.Table, rawSize int64) int64 {
 		sample = t.PrefixShared(sampleRows)
 		frac = float64(n) / float64(sampleRows)
 	}
-	var buf bytes.Buffer
-	zw := gzip.NewWriter(&buf)
+	var size byteCounter
+	zw := gzipWriters.Get().(*gzip.Writer)
+	zw.Reset(&size)
 	writeCSV(zw, sample)
 	zw.Close()
-	return int64(float64(buf.Len()) * frac)
+	gzipWriters.Put(zw)
+	return int64(float64(size) * frac)
 }
 
-// writeCSV emits a minimal CSV; quoting is unnecessary for size
-// estimation purposes, but commas/newlines in values are escaped to
-// keep the estimate honest.
-func writeCSV(w *gzip.Writer, t *table.Table) {
+// writeCSV emits a minimal CSV: values are joined by commas and rows
+// end in newlines, with no quoting or escaping. A value holding a comma
+// or newline is written as is, which is close enough for a size
+// estimate.
+func writeCSV(w io.Writer, t *table.Table) {
 	row := make([]byte, 0, 256)
 	row = appendRow(row[:0], t.Cols)
 	w.Write(row)

@@ -310,9 +310,9 @@ func (s *Service) TableIndex(name string) int {
 	return -1
 }
 
-// PickColumn resolves the join query column: the named column, or the
+// pickColumn resolves the join query column: the named column, or the
 // first join-eligible one when name is empty (the ogdpsearch rule).
-func (s *Service) PickColumn(ti int, name string) (int, error) {
+func (s *Service) pickColumn(ti int, name string) (int, error) {
 	t := s.tables[ti]
 	if name != "" {
 		ci := t.ColumnIndex(name)
@@ -341,35 +341,35 @@ func (s *Service) Do(ctx context.Context, req Request) (string, error) {
 	}
 	switch req.Kind {
 	case KindJoin:
-		ci, err := s.PickColumn(ti, req.Col)
+		ci, err := s.pickColumn(ti, req.Col)
 		if err != nil {
 			return "", err
 		}
-		return s.HeaderText(ti, ci) + "\n" + s.JoinText(ti, ci, req.K), nil
+		return s.headerText(ti, ci) + "\n" + s.joinText(ti, ci, req.K), nil
 	case KindUnion:
-		return s.UnionText(ti, req.K), nil
+		return s.unionText(ti, req.K), nil
 	case KindProfile:
 		return s.ProfileText(ctx, ti)
 	case KindFD:
 		return s.FDText(ctx, ti, req.MaxLHS)
 	case KindRank:
-		return s.RankText(ti, req.K), nil
+		return s.rankText(ti, req.K), nil
 	default:
 		return "", fmt.Errorf("%w: unknown query kind %q", ErrBadRequest, req.Kind)
 	}
 }
 
-// HeaderText renders the query-identification line ogdpsearch prints
+// headerText renders the query-identification line ogdpsearch prints
 // before its result sections.
-func (s *Service) HeaderText(ti, ci int) string {
+func (s *Service) headerText(ti, ci int) string {
 	t := s.tables[ti]
 	return fmt.Sprintf("query: %s.%s (%d distinct values)\n", t.Name, t.Cols[ci], t.Profile(ci).Distinct)
 }
 
-// JoinText renders the top-k joinable columns of the query column by
+// joinText renders the top-k joinable columns of the query column by
 // exact value overlap — JOSIE's semantics, byte-identical to the
 // ogdpsearch join section.
-func (s *Service) JoinText(ti, ci, k int) string {
+func (s *Service) joinText(ti, ci, k int) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "top-%d joinable columns by exact overlap (JOSIE semantics):\n", k)
 	for _, r := range s.eng.TopKJoinable(s.tables[ti], ci, k, ti) {
@@ -380,12 +380,12 @@ func (s *Service) JoinText(ti, ci, k int) string {
 	return b.String()
 }
 
-// RankText renders the top-k ranked integration hypotheses for the
+// rankText renders the top-k ranked integration hypotheses for the
 // query table — value overlap, schema similarity, and dataset
 // metadata combined into one weighted score (Eberius et al.'s
 // integration hypotheses), byte-identical to the ogdpsearch
 // -mode rank output.
-func (s *Service) RankText(ti, k int) string {
+func (s *Service) rankText(ti, k int) string {
 	q := s.tables[ti]
 	var b strings.Builder
 	fmt.Fprintf(&b, "top-%d integration hypotheses for %s (value+schema+metadata evidence):\n", k, q.Name)
@@ -408,10 +408,10 @@ func (s *Service) RankText(ti, k int) string {
 	return b.String()
 }
 
-// UnionText renders the tables unionable with the query table (exact
+// unionText renders the tables unionable with the query table (exact
 // schema identity), ranked by relatedness — byte-identical to the
 // ogdpsearch union section.
-func (s *Service) UnionText(ti, k int) string {
+func (s *Service) unionText(ti, k int) string {
 	var b strings.Builder
 	b.WriteString("unionable tables (exact schema identity), ranked by relatedness:\n")
 	ranked := rank.RankUnionCandidates(s.ua, ti, rank.UnionWeights{})

@@ -80,12 +80,12 @@ func TestDoJoin(t *testing.T) {
 	// The body is exactly what the renderers compose — the contract
 	// that keeps the server and the one-shot CLI byte-identical.
 	ti := s.TableIndex("landings.csv")
-	ci, err := s.PickColumn(ti, "species")
+	ci, err := s.pickColumn(ti, "species")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := s.HeaderText(ti, ci) + "\n" + s.JoinText(ti, ci, DefaultK); got != want {
-		t.Errorf("Do(join) != HeaderText+JoinText:\n%q\n%q", got, want)
+	if want := s.headerText(ti, ci) + "\n" + s.joinText(ti, ci, DefaultK); got != want {
+		t.Errorf("Do(join) != headerText+joinText:\n%q\n%q", got, want)
 	}
 }
 
