@@ -202,3 +202,80 @@ func TestInvalidateProfilesPublishesFreshGeneration(t *testing.T) {
 		t.Error("schema key changed across invalidation of an unchanged table")
 	}
 }
+
+// encodingValue is a deep copy of an Encoding's contents.
+type encodingValue struct {
+	dict       []string
+	codes      []uint32
+	counts     []int32
+	null       []bool
+	nulls      int
+	hashes     []uint64
+	hashCounts []int32
+}
+
+func valueOf(e *Encoding) encodingValue {
+	return encodingValue{
+		dict:       append([]string(nil), e.Dict...),
+		codes:      append([]uint32(nil), e.Codes...),
+		counts:     append([]int32(nil), e.DictCounts...),
+		null:       append([]bool(nil), e.DictNull...),
+		nulls:      e.nulls,
+		hashes:     append([]uint64(nil), e.hashes...),
+		hashCounts: append([]int32(nil), e.hashCounts...),
+	}
+}
+
+// TestEncodePoolConcurrent: goroutines encode and profile one shared
+// table and tables of their own at once, all on pooled scratch. Every
+// encoding and profile must equal a cold sequential build, and must
+// still equal it after the pool has been reused many times over, which
+// it would not if an output aliased scratch.
+func TestEncodePoolConcurrent(t *testing.T) {
+	const goroutines = 8
+	rowsOf := func(g int) int { return 50 + 97*g }
+	shared := stressTable(6, 400)
+	tables := make([]*Table, goroutines)
+	for g := range tables {
+		tables[g] = stressTable(6, rowsOf(g))
+	}
+
+	var wg sync.WaitGroup
+	wg.Add(goroutines)
+	for g := 0; g < goroutines; g++ {
+		go func(g int) {
+			defer wg.Done()
+			for c := 0; c < 6; c++ {
+				// Opposite column orders make the shared table's builds
+				// race.
+				sc := c
+				if g%2 == 1 {
+					sc = 5 - c
+				}
+				shared.Profile(sc)
+				tables[g].Profile(c)
+			}
+		}(g)
+	}
+	wg.Wait()
+	for i := 0; i < 50; i++ { // churn the pool
+		encodeColumn(stressTable(1, 200+i).Data[0])
+	}
+
+	check := func(got *Table, rows int) {
+		t.Helper()
+		cold := stressTable(6, rows)
+		for c := 0; c < 6; c++ {
+			if !reflect.DeepEqual(valueOf(got.Encoding(c)), valueOf(cold.Encoding(c))) {
+				t.Fatalf("%d-row table, column %d: concurrent encoding differs from a sequential one", rows, c)
+			}
+			if !reflect.DeepEqual(got.Profile(c), cold.Profile(c)) {
+				t.Fatalf("%d-row table, column %d: concurrent profile differs from a sequential one", rows, c)
+			}
+		}
+	}
+	check(shared, 400)
+	for g, tb := range tables {
+		check(tb, rowsOf(g))
+	}
+}

@@ -1,7 +1,8 @@
 package table
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -97,41 +98,63 @@ func IntersectSize(a, b []uint64) int {
 	return n
 }
 
+// encodeScratch is encodeColumn's working memory, reused across calls
+// through encodePool. The map is cleared before the scratch goes back
+// to the pool, so pooled scratch never keeps a table's strings alive;
+// the other fields hold no pointers. No Encoding points into scratch:
+// its outputs are fresh allocations.
+type encodeScratch struct {
+	idx   map[string]uint32 // raw value -> first-seen code
+	perm  []uint32          // first-seen code -> sorted code
+	pairs []hashCount       // (hash, count) of the non-null entries
+}
+
+type hashCount struct {
+	h uint64
+	n int32
+}
+
+var encodePool = sync.Pool{New: func() any {
+	return &encodeScratch{idx: make(map[string]uint32)}
+}}
+
 // encodeColumn builds the eager part of a column's encoding (the canon
 // stream is materialized separately, on demand).
 func encodeColumn(col []string) *Encoding {
+	sc := encodePool.Get().(*encodeScratch)
+	defer func() {
+		clear(sc.idx)
+		encodePool.Put(sc)
+	}()
+
 	e := &Encoding{Codes: make([]uint32, len(col))}
-	idx := make(map[string]uint32, 64)
 	for r, v := range col {
-		c, ok := idx[v]
+		c, ok := sc.idx[v]
 		if !ok {
-			c = uint32(len(e.Dict))
-			idx[v] = c
-			e.Dict = append(e.Dict, v)
+			c = uint32(len(sc.idx))
+			sc.idx[v] = c
 		}
 		e.Codes[r] = c
 	}
 	// Re-assign codes by ascending raw value so they are independent of
 	// row order for a given multiset of values.
-	order := make([]int, len(e.Dict))
-	for i := range order {
-		order[i] = i
+	n := len(sc.idx)
+	e.Dict = make([]string, 0, n)
+	for v := range sc.idx {
+		e.Dict = append(e.Dict, v)
 	}
-	sort.Slice(order, func(a, b int) bool { return e.Dict[order[a]] < e.Dict[order[b]] })
-	perm := make([]uint32, len(e.Dict)) // first-seen code -> sorted code
-	sorted := make([]string, len(e.Dict))
-	for newCode, old := range order {
-		sorted[newCode] = e.Dict[old]
-		perm[old] = uint32(newCode)
+	slices.Sort(e.Dict)
+	sc.perm = slices.Grow(sc.perm[:0], n)[:n]
+	for newCode, v := range e.Dict {
+		sc.perm[sc.idx[v]] = uint32(newCode)
 	}
-	e.Dict = sorted
-	e.DictCounts = make([]int32, len(e.Dict))
+	e.DictCounts = make([]int32, n)
 	for r, c := range e.Codes {
-		nc := perm[c]
+		nc := sc.perm[c]
 		e.Codes[r] = nc
 		e.DictCounts[nc]++
 	}
-	e.DictNull = make([]bool, len(e.Dict))
+	e.DictNull = make([]bool, n)
 	nonNull := 0
 	for i, v := range e.Dict {
 		if values.IsNull(v) {
@@ -141,42 +164,34 @@ func encodeColumn(col []string) *Encoding {
 			nonNull++
 		}
 	}
-	e.buildHashes(nonNull)
+	e.buildHashes(sc, nonNull)
 	return e
 }
 
 // buildHashes fills hashes/hashCounts from the non-null dictionary
 // entries, merging counts on (vanishingly rare) hash collisions.
-func (e *Encoding) buildHashes(nonNull int) {
+func (e *Encoding) buildHashes(sc *encodeScratch, nonNull int) {
 	if nonNull == 0 {
 		return
 	}
-	hs := make([]uint64, 0, nonNull)
-	cs := make([]int32, 0, nonNull)
+	pairs := sc.pairs[:0]
 	for i, v := range e.Dict {
-		if e.DictNull[i] {
+		if !e.DictNull[i] {
+			pairs = append(pairs, hashCount{hashString(v), e.DictCounts[i]})
+		}
+	}
+	sc.pairs = pairs
+	slices.SortFunc(pairs, func(a, b hashCount) int { return cmp.Compare(a.h, b.h) })
+	e.hashes = make([]uint64, 0, nonNull)
+	e.hashCounts = make([]int32, 0, nonNull)
+	for _, p := range pairs {
+		if k := len(e.hashes) - 1; k >= 0 && e.hashes[k] == p.h {
+			e.hashCounts[k] += p.n
 			continue
 		}
-		hs = append(hs, hashString(v))
-		cs = append(cs, e.DictCounts[i])
+		e.hashes = append(e.hashes, p.h)
+		e.hashCounts = append(e.hashCounts, p.n)
 	}
-	ord := make([]int, len(hs))
-	for i := range ord {
-		ord[i] = i
-	}
-	sort.Slice(ord, func(a, b int) bool { return hs[ord[a]] < hs[ord[b]] })
-	outH := hs[:0:0]
-	outC := cs[:0:0]
-	for _, i := range ord {
-		if n := len(outH); n > 0 && outH[n-1] == hs[i] {
-			outC[n-1] += cs[i]
-			continue
-		}
-		outH = append(outH, hs[i])
-		outC = append(outC, cs[i])
-	}
-	e.hashes = outH
-	e.hashCounts = outC
 }
 
 // CanonCodes returns the column's canonical per-row codes and code

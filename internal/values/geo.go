@@ -1,9 +1,12 @@
 package values
 
 import (
-	"strconv"
 	"strings"
+	"unicode"
 )
+
+// wktPrefixes are the WKT geometry keywords IsGeo recognizes, lowered.
+var wktPrefixes = [...]string{"point", "polygon", "linestring", "multipoint", "multipolygon", "multilinestring"}
 
 // IsGeo reports whether s looks like a geo-spatial value. The study
 // recognizes the spellings that occur in OGDP CSVs:
@@ -13,14 +16,18 @@ import (
 //   - WKT geometry fragments, e.g. "POINT (-80.54 43.47)"
 //   - GeoJSON-ish fragments beginning with {"type": "Point"
 //   - Parenthesized pairs, e.g. "(43.4723, -80.5449)"
+//
+// WKT keywords match with ASCII case folded only: a keyword spelled
+// with a rune outside ASCII, such as the dotless ı in "poınt", is no
+// keyword, and such a value, starting with a letter, is no coordinate
+// pair either.
 func IsGeo(s string) bool {
 	s = strings.TrimSpace(s)
 	if len(s) < 4 {
 		return false
 	}
-	upper := strings.ToUpper(s)
-	for _, prefix := range []string{"POINT", "POLYGON", "LINESTRING", "MULTIPOINT", "MULTIPOLYGON", "MULTILINESTRING"} {
-		if strings.HasPrefix(upper, prefix) {
+	for _, prefix := range wktPrefixes {
+		if len(s) >= len(prefix) && lowerEq(s[:len(prefix)], prefix) {
 			rest := strings.TrimSpace(s[len(prefix):])
 			return strings.HasPrefix(rest, "(")
 		}
@@ -38,22 +45,43 @@ func IsGeo(s string) bool {
 // and b in [-180, 180], at least one of them fractional (to avoid
 // classifying small integer pairs as coordinates).
 func isCoordPair(s string) bool {
-	var parts []string
-	if strings.ContainsRune(s, ',') {
-		parts = strings.SplitN(s, ",", 3)
-	} else {
-		parts = strings.Fields(s)
-	}
-	if len(parts) != 2 {
+	a, b, ok := splitPair(s)
+	if !ok {
 		return false
 	}
-	a, err1 := strconv.ParseFloat(strings.TrimSpace(parts[0]), 64)
-	b, err2 := strconv.ParseFloat(strings.TrimSpace(parts[1]), 64)
-	if err1 != nil || err2 != nil {
+	x, ok1 := parseFloat(strings.TrimSpace(a))
+	y, ok2 := parseFloat(strings.TrimSpace(b))
+	if !ok1 || !ok2 {
 		return false
 	}
-	if a < -90 || a > 90 || b < -180 || b > 180 {
+	if x < -90 || x > 90 || y < -180 || y > 180 {
 		return false
 	}
-	return strings.ContainsRune(parts[0], '.') || strings.ContainsRune(parts[1], '.')
+	return strings.ContainsRune(a, '.') || strings.ContainsRune(b, '.')
+}
+
+// splitPair splits s around its only comma or, without a comma, into
+// its two space-separated fields (strings.Fields' notion of space); ok
+// is false when s does not have exactly two parts.
+func splitPair(s string) (a, b string, ok bool) {
+	if i := strings.IndexByte(s, ','); i >= 0 {
+		if strings.IndexByte(s[i+1:], ',') >= 0 {
+			return "", "", false
+		}
+		return s[:i], s[i+1:], true
+	}
+	a, rest := nextField(s)
+	b, rest = nextField(rest)
+	return a, b, a != "" && b != "" && strings.TrimLeftFunc(rest, unicode.IsSpace) == ""
+}
+
+// nextField returns the first space-separated field of s and the rest
+// of s after it.
+func nextField(s string) (field, rest string) {
+	s = strings.TrimLeftFunc(s, unicode.IsSpace)
+	i := strings.IndexFunc(s, unicode.IsSpace)
+	if i < 0 {
+		return s, ""
+	}
+	return s[:i], s[i:]
 }

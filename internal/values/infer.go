@@ -1,5 +1,7 @@
 package values
 
+import "strings"
+
 // ColumnType is the column-level data type used throughout the study.
 // It refines the scalar Kind with the column-level distinctions of
 // §5.3 of the paper: integer columns whose values form an incremental
@@ -167,15 +169,20 @@ func InferCounted(distinct []string, counts []int32, opts InferOptions) ColumnTy
 		nonNull += mult
 		nDistinct++
 		sumLen += len(v)
-		if _, ok := ParseInt(v); ok {
-			intDistinct++
-		}
-		switch KindOf(v) {
+		k, n := kindOf(v)
+		switch k {
 		case KindBool:
 			nBool += mult
 		case KindInt:
 			nInt += mult
-			n, _ := ParseInt(v)
+			// KindOf trims the value, ParseInt does not: a padded
+			// integer counts toward nInt but enters the range as 0 and
+			// is not one of the intDistinct values ParseInt accepts.
+			if len(strings.TrimSpace(v)) == len(v) {
+				intDistinct++
+			} else {
+				n = 0
+			}
 			if !intSeen || n < intMin {
 				intMin = n
 			}
