@@ -80,7 +80,6 @@ func main() {
 	}
 
 	srv := serve.New(svc, serve.Options{
-		Workers:       *workers,
 		MaxConcurrent: *concurrency,
 		QueueDepth:    *queue,
 		Timeout:       *timeout,

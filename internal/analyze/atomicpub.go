@@ -40,7 +40,7 @@ func runAtomicpubFunc(p *Pass, body *ast.BlockStmt) {
 	// Locals bound to Load results: `p := x.Load()` makes every write
 	// rooted at p a write-through-Load.
 	loadVars := map[types.Object]bool{}
-	// Locals born private: `s := &tableState{...}` may be stored into
+	// Locals born private: `t := &Table{...}` may be stored into
 	// freely until it is published.
 	freshVars := map[types.Object]bool{}
 	inspectShallow(body, func(n ast.Node) bool {

@@ -14,7 +14,6 @@ func Checks() []*Check {
 		wraperrCheck,
 		floatcmpCheck,
 		ctxfirstCheck,
-		rawdataCheck,
 		atomicpubCheck,
 		lockpathCheck,
 		gorolifeCheck,

@@ -3,9 +3,11 @@
 // study code must keep for the paper's measurements to be
 // reproducible: determinism (byte-identical output for a given
 // corpus and seed, regardless of worker count — detrand, orderedemit,
-// floatcmp, rawdata) and concurrency hygiene for the code that fans
-// out to get there (gorolife, lockpath, atomicpub, ctxfirst,
-// ctxloop, wraperr).
+// floatcmp) and concurrency hygiene for the code that fans out to get
+// there (gorolife, lockpath, atomicpub, ctxfirst, ctxloop, wraperr).
+// Rules the type system can carry are left to the compiler instead: a
+// table's raw cell store is unexported, so no check is needed to keep
+// analyses on its accessors and dictionary encodings.
 //
 // The determinism checks exist because the paper's numbers are
 // claims about datasets, not about a particular run: a map-order

@@ -27,11 +27,12 @@ func (o fixedOracle) LabelJoin(p join.Pair) Label {
 func corpus(n int, rows int) []*table.Table {
 	var out []*table.Table
 	for i := 0; i < n; i++ {
-		t := table.New(fmt.Sprintf("t%d.csv", i), []string{"id", fmt.Sprintf("payload%d", i)})
-		t.DatasetID = fmt.Sprintf("ds%d", i/2) // two tables per dataset
-		for r := 0; r < rows; r++ {
-			t.AppendRow([]string{strconv.Itoa(r + 1), fmt.Sprintf("p%d-%d", i, r)})
+		data := make([][]string, rows)
+		for r := range data {
+			data[r] = []string{strconv.Itoa(r + 1), fmt.Sprintf("p%d-%d", i, r)}
 		}
+		t := table.FromRows(fmt.Sprintf("t%d.csv", i), []string{"id", fmt.Sprintf("payload%d", i)}, data)
+		t.DatasetID = fmt.Sprintf("ds%d", i/2) // two tables per dataset
 		out = append(out, t)
 	}
 	return out
@@ -126,11 +127,11 @@ func TestSampleExcludesSameSchema(t *testing.T) {
 	// Identical schemas: every pair must be filtered out.
 	var tables []*table.Table
 	for i := 0; i < 4; i++ {
-		tb := table.New(fmt.Sprintf("t%d.csv", i), []string{"id", "v"})
+		var rows [][]string
 		for r := 0; r < 40; r++ {
-			tb.AppendRow([]string{strconv.Itoa(r + 1), "x"})
+			rows = append(rows, []string{strconv.Itoa(r + 1), "x"})
 		}
-		tables = append(tables, tb)
+		tables = append(tables, table.FromRows(fmt.Sprintf("t%d.csv", i), []string{"id", "v"}, rows))
 	}
 	pairs := join.Find(tables, join.Options{}).Pairs
 	if len(pairs) == 0 {
@@ -221,14 +222,13 @@ func TestPredictor(t *testing.T) {
 		}
 	}
 	// A categorical key-key same-dataset pair should be accepted.
-	a := table.New("a.csv", []string{"species"})
-	b := table.New("b.csv", []string{"species"})
-	a.DatasetID, b.DatasetID = "d", "d"
+	var species []string
 	for i := 0; i < 30; i++ {
-		v := fmt.Sprintf("Species %c%d", 'A'+i%26, i)
-		a.AppendRow([]string{v})
-		b.AppendRow([]string{v})
+		species = append(species, fmt.Sprintf("Species %c%d", 'A'+i%26, i))
 	}
+	a := table.New("a.csv", []string{"species"}, [][]string{species})
+	b := table.New("b.csv", []string{"species"}, [][]string{species})
+	a.DatasetID, b.DatasetID = "d", "d"
 	pr := join.Find([]*table.Table{a, b}, join.Options{}).Pairs
 	if len(pr) != 1 {
 		t.Fatal("expected one pair")

@@ -47,6 +47,23 @@ type Dataset struct {
 	Metadata int
 }
 
+// Skip records one input file a loader passed over or fell back on,
+// and why: a file that could not be read or parsed, or a colstore file
+// passed over for its CSV. A long-lived service cannot afford a bare
+// counter: when a corpus loads with 40 of 200 files missing, the
+// operator needs the names and reasons at startup, not a number. Both
+// corpus loaders (gen.LoadCorpusNotes and diskcorpus) report in this
+// one form.
+type Skip struct {
+	// Name is the file name within the corpus directory.
+	Name string
+	// Reason says why the file was passed over ("read: ...",
+	// "undetected format ...", "csv: ...", "too wide ...", ...).
+	Reason string
+}
+
+func (s Skip) String() string { return s.Name + ": " + s.Reason }
+
 // Source is a corpus the study can run over. Implementations must
 // return the same slices (same order, same contents) on every call:
 // analysis indices are positions in TableMetas, and the determinism

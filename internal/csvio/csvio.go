@@ -122,32 +122,35 @@ func ReadWith(name string, r io.Reader, opts Options) (*table.Table, error) {
 		}
 	}
 
-	t := table.New(name, header)
-	for c := range t.Data {
-		t.Data[c] = make([]string, 0, len(records)-headerIdx-1)
+	data := make([][]string, width)
+	for c := range data {
+		data[c] = make([]string, 0, len(records)-headerIdx-1)
 	}
+	var ragged table.RaggedCells
 	for r := headerIdx + 1; r < len(records); r++ {
 		if d := len(records[r]) - width; d > 0 {
-			t.Ragged.Truncated += d
+			ragged.Truncated += d
 		} else if d < 0 {
-			t.Ragged.Padded -= d
+			ragged.Padded -= d
 		}
 		row := normalizeRow(records[r], width)
 		for c := 0; c < width; c++ {
-			t.Data[c] = append(t.Data[c], row[c])
+			data[c] = append(data[c], row[c])
 		}
-		if opts.MaxRows > 0 && t.NumRows() >= opts.MaxRows {
+		if opts.MaxRows > 0 && r-headerIdx >= opts.MaxRows {
 			break
 		}
 	}
 
 	if !opts.KeepEmptyTrailingColumns {
-		trimTrailingEmptyColumns(t)
-		if t.NumCols() == 0 {
+		header, data = trimTrailingEmptyColumns(header, data)
+		if len(header) == 0 {
 			// Every column was entirely null: nothing readable remains.
 			return nil, ErrEmpty
 		}
 	}
+	t := table.New(name, header, data)
+	t.Ragged = ragged
 	return t, nil
 }
 
@@ -209,32 +212,27 @@ func normalizeRow(rec []string, width int) []string {
 	return out
 }
 
-// trimTrailingEmptyColumns removes the suffix of columns whose every
+// trimTrailingEmptyColumns drops the suffix of columns whose every
 // cell is null, a publication artifact the paper reports (§2.2).
-func trimTrailingEmptyColumns(t *table.Table) {
-	if t.NumRows() == 0 {
-		return // a header-only table keeps its columns
+func trimTrailingEmptyColumns(header []string, data [][]string) ([]string, [][]string) {
+	if len(data) == 0 || len(data[0]) == 0 {
+		return header, data // a header-only table keeps its columns
 	}
-	keep := len(t.Cols)
-	for keep > 0 {
-		col := t.Data[keep-1]
-		empty := true
-		for _, v := range col {
-			if !values.IsNull(v) {
-				empty = false
-				break
-			}
-		}
-		if !empty {
-			break
-		}
+	keep := len(header)
+	for keep > 0 && allNull(data[keep-1]) {
 		keep--
 	}
-	if keep < len(t.Cols) {
-		t.Cols = t.Cols[:keep]
-		t.Data = t.Data[:keep]
-		t.InvalidateProfiles()
+	return header[:keep], data[:keep]
+}
+
+// allNull reports whether every cell of col is null.
+func allNull(col []string) bool {
+	for _, v := range col {
+		if !values.IsNull(v) {
+			return false
+		}
 	}
+	return true
 }
 
 // Write serializes a table as CSV (header first).

@@ -19,8 +19,8 @@ func TestReadSimple(t *testing.T) {
 	if tb.NumCols() != 3 || tb.NumRows() != 2 {
 		t.Fatalf("shape = %d×%d", tb.NumCols(), tb.NumRows())
 	}
-	if tb.Cols[1] != "name" || tb.Data[1][1] != "Toronto" {
-		t.Errorf("content wrong: %+v", tb.Data)
+	if tb.Cols[1] != "name" || tb.Value(1, 1) != "Toronto" {
+		t.Errorf("content wrong: %+v", tb.Rows())
 	}
 }
 
@@ -112,11 +112,11 @@ func TestRaggedRows(t *testing.T) {
 	if tb.NumCols() != 3 || tb.NumRows() != 3 {
 		t.Fatalf("shape = %d×%d", tb.NumCols(), tb.NumRows())
 	}
-	if tb.Data[2][0] != "" { // short row padded
-		t.Errorf("short row not padded: %v", tb.Data[2])
+	if tb.Value(2, 0) != "" { // short row padded
+		t.Errorf("short row not padded: %v", tb.Column(2))
 	}
-	if tb.Data[2][1] != "3" { // long row truncated
-		t.Errorf("long row not truncated: %v", tb.Data[2])
+	if tb.Value(2, 1) != "3" { // long row truncated
+		t.Errorf("long row not truncated: %v", tb.Column(2))
 	}
 }
 
@@ -126,8 +126,8 @@ func TestQuotedFields(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tb.Data[1][0] != "hello, world" || tb.Data[1][1] != "line\nbreak" {
-		t.Errorf("quoted parsing wrong: %v", tb.Data[1])
+	if tb.Value(1, 0) != "hello, world" || tb.Value(1, 1) != "line\nbreak" {
+		t.Errorf("quoted parsing wrong: %v", tb.Column(1))
 	}
 }
 
@@ -167,8 +167,8 @@ func TestTSV(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tb.Cols[1] != "name" || tb.Data[1][0] != "alpha" {
-		t.Errorf("tsv parse wrong: %v %v", tb.Cols, tb.Data)
+	if tb.Cols[1] != "name" || tb.Value(1, 0) != "alpha" {
+		t.Errorf("tsv parse wrong: %v %v", tb.Cols, tb.Rows())
 	}
 }
 
@@ -186,10 +186,10 @@ func TestRoundTrip(t *testing.T) {
 	if back.NumRows() != orig.NumRows() || back.NumCols() != orig.NumCols() {
 		t.Fatalf("round trip shape: %v", back)
 	}
-	for c := range orig.Data {
-		for r := range orig.Data[c] {
-			if back.Data[c][r] != orig.Data[c][r] {
-				t.Errorf("cell (%d,%d): %q != %q", c, r, back.Data[c][r], orig.Data[c][r])
+	for c := range orig.Cols {
+		for r := range orig.NumRows() {
+			if back.Value(c, r) != orig.Value(c, r) {
+				t.Errorf("cell (%d,%d): %q != %q", c, r, back.Value(c, r), orig.Value(c, r))
 			}
 		}
 	}

@@ -69,18 +69,18 @@ func FuzzReadCSV(f *testing.F) {
 		if nCols == 0 || nCols >= csvio.DefaultMaxColumns {
 			t.Fatalf("parsed a table of %d columns", nCols)
 		}
-		if len(tb.Cols) != nCols || len(tb.Data) != nCols {
-			t.Fatalf("%d names, %d data columns, NumCols %d", len(tb.Cols), len(tb.Data), nCols)
+		if len(tb.Cols) != nCols {
+			t.Fatalf("%d names, NumCols %d", len(tb.Cols), nCols)
 		}
-		for c, col := range tb.Data {
-			if len(col) != nRows {
+		for c := range nCols {
+			if col := tb.Column(c); len(col) != nRows {
 				t.Fatalf("column %d has %d cells, want %d", c, len(col), nRows)
 			}
 		}
 		if nRows == 0 {
 			return // a header-only table keeps its columns
 		}
-		for _, v := range tb.Data[nCols-1] {
+		for _, v := range tb.Column(nCols - 1) {
 			if !values.IsNull(v) {
 				return
 			}

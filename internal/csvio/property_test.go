@@ -29,8 +29,8 @@ func TestRoundTripProperty(t *testing.T) {
 		for c := range cols {
 			cols[c] = "col" + string(rune('a'+c))
 		}
-		orig := table.New("t.csv", cols)
-		for r := 0; r < nRows; r++ {
+		rows := make([][]string, nRows)
+		for r := range rows {
 			row := make([]string, nCols)
 			for c := range row {
 				row[c] = randCell()
@@ -42,8 +42,9 @@ func TestRoundTripProperty(t *testing.T) {
 			for c := range row {
 				row[c] = strings.ReplaceAll(row[c], "\r", "")
 			}
-			orig.AppendRow(row)
+			rows[r] = row
 		}
+		orig := table.FromRows("t.csv", cols, rows)
 		back, err := ReadBytes("t.csv", Bytes(orig))
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
@@ -52,10 +53,10 @@ func TestRoundTripProperty(t *testing.T) {
 			t.Fatalf("trial %d: shape %dx%d -> %dx%d", trial,
 				orig.NumCols(), orig.NumRows(), back.NumCols(), back.NumRows())
 		}
-		for c := range orig.Data {
-			for r := range orig.Data[c] {
-				if back.Data[c][r] != orig.Data[c][r] {
-					t.Fatalf("trial %d: cell (%d,%d) %q -> %q", trial, c, r, orig.Data[c][r], back.Data[c][r])
+		for c := range orig.Cols {
+			for r := range orig.NumRows() {
+				if back.Value(c, r) != orig.Value(c, r) {
+					t.Fatalf("trial %d: cell (%d,%d) %q -> %q", trial, c, r, orig.Value(c, r), back.Value(c, r))
 				}
 			}
 		}
@@ -91,8 +92,8 @@ func TestReadStructuredFuzz(t *testing.T) {
 		if tb.NumCols() == 0 {
 			t.Fatalf("trial %d: parsed table with zero columns", trial)
 		}
-		for c := range tb.Data {
-			if len(tb.Data[c]) != tb.NumRows() {
+		for c := range tb.Cols {
+			if len(tb.Column(c)) != tb.NumRows() {
 				t.Fatalf("trial %d: ragged internal columns", trial)
 			}
 		}

@@ -71,7 +71,7 @@ func TestCoverage(t *testing.T) {
 	if got := Coverage(d, tb); got != 2.0/3.0 {
 		t.Errorf("coverage = %g", got)
 	}
-	if Coverage(d, table.New("e", nil)) != 0 {
+	if Coverage(d, table.New("e", nil, nil)) != 0 {
 		t.Error("empty table coverage should be 0")
 	}
 }

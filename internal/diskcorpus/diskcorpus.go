@@ -18,20 +18,6 @@ import (
 	"ogdp/internal/table"
 )
 
-// Skip records one input file the loader passed over, and why. A
-// long-lived service cannot afford the old bare counter: when a
-// corpus loads with 40 of 200 files missing, the operator needs the
-// names and reasons at startup, not a number.
-type Skip struct {
-	// Name is the file name within the corpus directory.
-	Name string
-	// Reason says why the file was not loaded ("read: ...",
-	// "undetected format ...", "csv: ...", "too wide ...", ...).
-	Reason string
-}
-
-func (s Skip) String() string { return s.Name + ": " + s.Reason }
-
 // Corpus is a loaded directory of tables.
 type Corpus struct {
 	// Dir is the source directory.
@@ -48,7 +34,7 @@ type Corpus struct {
 	// file that failed reading, sniffing or parsing (including
 	// wide-table rejections), plus a malformed datasets.json, each with
 	// its reason.
-	Skips []Skip
+	Skips []corpus.Skip
 	// Manifest reports whether a datasets.json manifest was found and
 	// parsed.
 	Manifest bool
@@ -101,19 +87,19 @@ func Load(dir string) (*Corpus, error) {
 	for _, name := range names {
 		body, err := os.ReadFile(filepath.Join(dir, name))
 		if err != nil {
-			c.Skips = append(c.Skips, Skip{Name: name, Reason: fmt.Sprintf("read: %v", err)})
+			c.Skips = append(c.Skips, corpus.Skip{Name: name, Reason: fmt.Sprintf("read: %v", err)})
 			continue
 		}
 		t, reason := parse(name, body)
 		if t == nil {
-			c.Skips = append(c.Skips, Skip{Name: name, Reason: reason})
+			c.Skips = append(c.Skips, corpus.Skip{Name: name, Reason: reason})
 			continue
 		}
 		c.Tables = append(c.Tables, t)
 		c.Metas = append(c.Metas, corpus.TableMeta{Table: t, RawSize: int64(len(body))})
 	}
 	if err := c.attachManifest(); err != nil {
-		c.Skips = append(c.Skips, Skip{Name: manifestFile, Reason: err.Error()})
+		c.Skips = append(c.Skips, corpus.Skip{Name: manifestFile, Reason: err.Error()})
 	}
 	return c, nil
 }
@@ -129,19 +115,15 @@ func LoadStudy(dir string) (corpus.Source, error) {
 }
 
 // LoadStudyNotes is LoadStudy with the per-file load deviations
-// surfaced: colstore fallbacks and skipped files, in Skip-ledger form,
-// whichever loader ran. A corpus whose manifests reference tables
+// surfaced: colstore fallbacks and skipped files, in the one
+// corpus.Skip ledger form, whichever loader ran. A corpus whose manifests reference tables
 // that are missing or unreadable in both representations is rejected
 // with a wrapped error.
-func LoadStudyNotes(dir string) (corpus.Source, []Skip, error) {
+func LoadStudyNotes(dir string) (corpus.Source, []corpus.Skip, error) {
 	if _, err := os.Stat(filepath.Join(dir, gen.ProvenanceFile)); err == nil {
-		c, notes, err := gen.LoadCorpusNotes(dir)
+		c, skips, err := gen.LoadCorpusNotes(dir)
 		if err != nil {
 			return nil, nil, fmt.Errorf("diskcorpus: %s: %w", dir, err)
-		}
-		skips := make([]Skip, len(notes))
-		for i, n := range notes {
-			skips[i] = Skip{Name: n.File, Reason: n.Reason}
 		}
 		return c, skips, nil
 	}

@@ -11,7 +11,7 @@ import (
 
 // dirtyCityTable has city -> province except for a few dirty rows.
 func dirtyCityTable(dirty int) *table.Table {
-	t := table.New("cities", []string{"id", "city", "province"})
+	var rows [][]string
 	cities := []struct{ c, p string }{
 		{"Waterloo", "ON"}, {"Toronto", "ON"}, {"Montreal", "QC"}, {"Vancouver", "BC"},
 	}
@@ -21,9 +21,9 @@ func dirtyCityTable(dirty int) *table.Table {
 		if i < dirty {
 			prov = "XX" // data-entry error
 		}
-		t.AppendRow([]string{strconv.Itoa(i + 1), c.c, prov})
+		rows = append(rows, []string{strconv.Itoa(i + 1), c.c, prov})
 	}
-	return t
+	return table.FromRows("cities", []string{"id", "city", "province"}, rows)
 }
 
 func TestDiscoverApproximateRecoversDirtyFD(t *testing.T) {
@@ -89,7 +89,7 @@ func TestG3ErrorExactComputation(t *testing.T) {
 	if got != want {
 		t.Errorf("g3 = %g, want %g", got, want)
 	}
-	if g := G3Error(table.New("e", []string{"a"}), FD{LHS: nil, RHS: 0}); g != 0 {
+	if g := G3Error(table.New("e", []string{"a"}, [][]string{nil}), FD{LHS: nil, RHS: 0}); g != 0 {
 		t.Errorf("empty table g3 = %g", g)
 	}
 }
@@ -166,7 +166,7 @@ func TestPlausibilityBounds(t *testing.T) {
 			t.Errorf("score %g out of [0,1] for %v", s, f)
 		}
 	}
-	if Plausibility(table.New("e", []string{"a"}), FD{RHS: 0}) != 0 {
+	if Plausibility(table.New("e", []string{"a"}, [][]string{nil}), FD{RHS: 0}) != 0 {
 		t.Error("empty table should score 0")
 	}
 }

@@ -173,10 +173,10 @@ func TestNullsAreOneValue(t *testing.T) {
 }
 
 func TestDegenerateInputs(t *testing.T) {
-	if fds := Discover(table.New("e", []string{"a"}), MaxLHS); fds != nil {
+	if fds := Discover(table.New("e", []string{"a"}, [][]string{nil}), MaxLHS); fds != nil {
 		t.Errorf("empty table: %v", fds)
 	}
-	if fds := Discover(table.New("e", nil), MaxLHS); fds != nil {
+	if fds := Discover(table.New("e", nil, nil), MaxLHS); fds != nil {
 		t.Errorf("no columns: %v", fds)
 	}
 	one := table.FromRows("one", []string{"a", "b"}, [][]string{{"x", "y"}})

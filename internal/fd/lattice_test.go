@@ -121,7 +121,7 @@ func TestLatticeRootKeepsDuplicateRows(t *testing.T) {
 }
 
 func TestLatticeEmpty(t *testing.T) {
-	lat := NewLattice(table.New("e", []string{"a"}))
+	lat := NewLattice(table.New("e", []string{"a"}, [][]string{nil}))
 	if fds, cost := lat.Discover(MaxLHS); fds != nil || cost != (Cost{}) {
 		t.Errorf("empty table: %v %+v", fds, cost)
 	}

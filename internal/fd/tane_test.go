@@ -70,7 +70,7 @@ func TestTANEWithNulls(t *testing.T) {
 }
 
 func TestTANEDegenerate(t *testing.T) {
-	if got := DiscoverTANE(table.New("e", []string{"a"}), MaxLHS); got != nil {
+	if got := DiscoverTANE(table.New("e", []string{"a"}, [][]string{nil}), MaxLHS); got != nil {
 		t.Errorf("empty table: %v", got)
 	}
 	one := table.FromRows("one", []string{"a", "b"}, [][]string{{"x", "y"}})

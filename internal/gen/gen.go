@@ -213,11 +213,8 @@ type colSpec struct {
 	gen  func(r int) string
 }
 
-// materialize builds the table from specs, injects nulls, and records
-// the meta. It fills columns wholesale during construction, before any
-// profile or encoding exists to invalidate.
-//
-//lint:allow(rawdata) generator constructs the cell store itself
+// materialize generates the columns from specs, injects nulls, then
+// constructs the table and records the meta.
 func (g *generator) materialize(ds *DatasetMeta, topic string, style TableStyle, event string, name string, nRows int, specs []colSpec) *TableMeta {
 	g.tblCounter++
 	cols := make([]string, len(specs))
@@ -226,16 +223,17 @@ func (g *generator) materialize(ds *DatasetMeta, topic string, style TableStyle,
 		cols[i] = s.info.Name
 		infos[i] = s.info
 	}
-	t := table.New(name, cols)
-	t.DatasetID = ds.ID
+	data := make([][]string, len(specs))
 	for c, s := range specs {
 		col := make([]string, nRows)
 		for r := 0; r < nRows; r++ {
 			col[r] = s.gen(r)
 		}
-		t.Data[c] = col
+		data[c] = col
 	}
-	g.injectNulls(t, infos)
+	g.injectNulls(data, infos)
+	t := table.New(name, cols, data)
+	t.DatasetID = ds.ID
 
 	meta := &TableMeta{
 		Table:        t,
@@ -253,11 +251,9 @@ func (g *generator) materialize(ds *DatasetMeta, topic string, style TableStyle,
 	return meta
 }
 
-// injectNulls applies the portal's null profile to non-key columns,
-// rewriting cells in place and invalidating cached profiles after.
-//
-//lint:allow(rawdata) in-place mutation during generation; caches invalidated below
-func (g *generator) injectNulls(t *table.Table, infos []ColumnInfo) {
+// injectNulls applies the portal's null profile to the non-key columns
+// of data, rewriting cells in place before the table is constructed.
+func (g *generator) injectNulls(data [][]string, infos []ColumnInfo) {
 	nullTokens := []string{"", "", "", "n/a", "null", "-"}
 	for c, info := range infos {
 		switch info.Role {
@@ -273,14 +269,13 @@ func (g *generator) injectNulls(t *table.Table, infos []ColumnInfo) {
 		if ratio <= 0 {
 			continue
 		}
-		col := t.Data[c]
+		col := data[c]
 		for i := range col {
 			if g.rng.Float64() < ratio {
 				col[i] = nullTokens[g.rng.Intn(len(nullTokens))]
 			}
 		}
 	}
-	t.InvalidateProfiles()
 }
 
 // rollNullRatio draws one column's null ratio from the portal profile
@@ -938,7 +933,12 @@ func (g *generator) makeDuplicateDataset() {
 	src := g.corpus.Metas[g.rng.Intn(len(g.corpus.Metas))]
 	ds := g.newDataset(src.Topic, src.Category)
 	g.tblCounter++
-	t := src.Table.Clone()
+	// Tables are immutable, so the duplicate shares its source's cells.
+	cells := make([][]string, src.Table.NumCols())
+	for c := range cells {
+		cells[c] = src.Table.Column(c)
+	}
+	t := table.New(src.Table.Name, src.Table.Cols, cells)
 	t.DatasetID = ds.ID
 	meta := &TableMeta{
 		Table:        t,

@@ -1,6 +1,7 @@
 package gen
 
 import (
+	"reflect"
 	"testing"
 
 	"ogdp/internal/classify"
@@ -33,9 +34,9 @@ func TestGenerateDeterministic(t *testing.T) {
 		if ta.Name != tb.Name || ta.NumRows() != tb.NumRows() || ta.NumCols() != tb.NumCols() {
 			t.Fatalf("table %d differs: %v vs %v", i, ta, tb)
 		}
-		for c := range ta.Data {
-			for r := range ta.Data[c] {
-				if ta.Data[c][r] != tb.Data[c][r] {
+		for c := range ta.Cols {
+			for r := range ta.NumRows() {
+				if ta.Value(c, r) != tb.Value(c, r) {
 					t.Fatalf("cell differs at table %d col %d row %d", i, c, r)
 				}
 			}
@@ -285,6 +286,49 @@ func TestDuplicateTablesAreCopies(t *testing.T) {
 	}
 }
 
+// TestDuplicateTablesShareSourceCells: a republished duplicate is built
+// over its source's cell slices rather than a copy of them, and its
+// encodings and profiles equal the source's.
+func TestDuplicateTablesShareSourceCells(t *testing.T) {
+	c := testCorpus(t, US())
+	byName := map[string]*table.Table{}
+	for _, m := range c.Metas {
+		if m.Style != StyleDuplicate {
+			byName[m.Table.Name] = m.Table
+		}
+	}
+	found := false
+	for _, m := range c.Metas {
+		if m.Style != StyleDuplicate {
+			continue
+		}
+		src := byName[m.DuplicateOf]
+		if src == nil {
+			t.Fatalf("duplicate without source: %s", m.DuplicateOf)
+		}
+		dup := m.Table
+		if dup == src || dup.NumCols() != src.NumCols() || dup.NumRows() != src.NumRows() {
+			t.Fatalf("duplicate %s: %v, source %v", dup.Name, dup, src)
+		}
+		for col := 0; col < dup.NumCols(); col++ {
+			if dup.NumRows() > 0 && &dup.Column(col)[0] != &src.Column(col)[0] {
+				t.Errorf("duplicate %s column %d does not share the source's cells", dup.Name, col)
+			}
+			de, se := dup.Encoding(col), src.Encoding(col)
+			if !reflect.DeepEqual(de.Dict, se.Dict) || !reflect.DeepEqual(de.Codes, se.Codes) ||
+				!reflect.DeepEqual(de.ValueHashes(), se.ValueHashes()) {
+				t.Errorf("duplicate %s column %d: encoding differs from the source's", dup.Name, col)
+			}
+			if !reflect.DeepEqual(dup.Profile(col), src.Profile(col)) {
+				t.Errorf("duplicate %s column %d: profile differs from the source's", dup.Name, col)
+			}
+		}
+		found = true
+	}
+	if !found {
+		t.Skip("no duplicates at this scale/seed")
+	}
+}
 func TestPartitionedTablesShape(t *testing.T) {
 	c := testCorpus(t, CA())
 	for _, m := range c.Metas {
@@ -356,7 +400,7 @@ func TestIncrementalIDColumns(t *testing.T) {
 			}
 			// Prefixed ids are strings; bare ids should mostly type as
 			// incremental ints (dirty small tables can fall to integer).
-			if v := m.Table.Data[ci][0]; values.KindOf(v) == values.KindInt {
+			if v := m.Table.Value(ci, 0); values.KindOf(v) == values.KindInt {
 				bare++
 				if m.Table.Profile(ci).Type == values.ColIncrementalInt {
 					incremental++

@@ -12,6 +12,7 @@ import (
 
 	"ogdp/internal/ckan"
 	"ogdp/internal/colstore"
+	"ogdp/internal/corpus"
 	"ogdp/internal/csvio"
 	"ogdp/internal/parallel"
 	"ogdp/internal/table"
@@ -209,21 +210,6 @@ func parseHash(s string) (h uint64, ok bool) {
 	return h, err == nil && s != ""
 }
 
-// LoadNote records one per-file deviation taken while loading a saved
-// corpus — typically a fall back from the colstore fast path to CSV
-// re-parsing, with the reason.
-type LoadNote struct {
-	File   string
-	Reason string
-}
-
-// LoadCorpus reads a corpus saved by SaveCorpus back from dir; see
-// LoadCorpusNotes.
-func LoadCorpus(dir string) (*Corpus, error) {
-	c, _, err := LoadCorpusNotes(dir)
-	return c, err
-}
-
 // LoadCorpusNotes reads a corpus saved by SaveCorpus back from dir,
 // reconstructing the full generation provenance from provenance.json.
 // Tables are served from their colstore files when present, current
@@ -232,9 +218,9 @@ func LoadCorpus(dir string) (*Corpus, error) {
 // missing, stale, or corrupt colstore falls back to re-parsing the CSV
 // with the cleaning pipeline disabled (KeepEmptyTrailingColumns, no
 // wide-table cutoff) so the cells roundtrip exactly; each fallback is
-// reported as a LoadNote. Either way the result is
+// reported as a corpus.Skip. Either way the result is
 // analysis-equivalent to the corpus that was saved.
-func LoadCorpusNotes(dir string) (*Corpus, []LoadNote, error) {
+func LoadCorpusNotes(dir string) (*Corpus, []corpus.Skip, error) {
 	data, err := os.ReadFile(filepath.Join(dir, ProvenanceFile))
 	if err != nil {
 		return nil, nil, fmt.Errorf("gen: loading corpus: %w", err)
@@ -257,14 +243,14 @@ func LoadCorpusNotes(dir string) (*Corpus, []LoadNote, error) {
 			Metadata:  d.Metadata,
 		})
 	}
-	var notes []LoadNote
+	var notes []corpus.Skip
 	for _, pt := range prov.Tables {
 		t, note, err := loadProvTable(dir, &pt)
 		if err != nil {
 			return nil, notes, err
 		}
 		if note != "" {
-			notes = append(notes, LoadNote{File: pt.File, Reason: note})
+			notes = append(notes, corpus.Skip{Name: pt.File, Reason: note})
 		}
 		t.DatasetID = pt.Dataset
 		if got, want := t.NumCols(), len(pt.Cols); got != want {

@@ -12,19 +12,21 @@ import (
 // lookupAndFacts builds a lookup table (key) plus a fact table whose
 // fk column draws a subset of the lookup's keys.
 func lookupAndFacts() []*table.Table {
-	lookup := table.New("species.csv", []string{"species", "group"})
+	var lookup, facts [][]string
 	for i := 0; i < 20; i++ {
-		lookup.AppendRow([]string{fmt.Sprintf("Species %02d", i), "G" + strconv.Itoa(i%3)})
+		lookup = append(lookup, []string{fmt.Sprintf("Species %02d", i), "G" + strconv.Itoa(i%3)})
 	}
-	facts := table.New("landings.csv", []string{"id", "species", "weight"})
 	for r := 0; r < 100; r++ {
-		facts.AppendRow([]string{
+		facts = append(facts, []string{
 			strconv.Itoa(r + 1),
 			fmt.Sprintf("Species %02d", r%15), // touches 15 of 20 keys
 			strconv.Itoa(r * 3),
 		})
 	}
-	return []*table.Table{lookup, facts}
+	return []*table.Table{
+		table.FromRows("species.csv", []string{"species", "group"}, lookup),
+		table.FromRows("landings.csv", []string{"id", "species", "weight"}, facts),
+	}
 }
 
 func TestFindDetectsForeignKey(t *testing.T) {
@@ -55,9 +57,10 @@ func TestFindDetectsForeignKey(t *testing.T) {
 func TestFindApproximate(t *testing.T) {
 	tables := lookupAndFacts()
 	// Dirty fact: add rows referencing unknown species.
-	tables[1].AppendRow([]string{"101", "Unknown A", "5"})
-	tables[1].AppendRow([]string{"102", "Unknown B", "7"})
-	tables[1].InvalidateProfiles()
+	facts := tables[1]
+	tables[1] = table.FromRows(facts.Name, facts.Cols, append(facts.Rows(),
+		[]string{"101", "Unknown A", "5"},
+		[]string{"102", "Unknown B", "7"}))
 
 	exact := Find(tables, Options{})
 	for _, d := range exact {
@@ -82,12 +85,12 @@ func TestFindApproximate(t *testing.T) {
 
 func TestMinDistinctFilter(t *testing.T) {
 	small := table.FromRows("flags.csv", []string{"flag"}, [][]string{{"yes"}, {"no"}})
-	big := table.New("all.csv", []string{"word"})
+	var words []string
 	for i := 0; i < 30; i++ {
-		big.AppendRow([]string{[]string{"yes", "no", "maybe"}[i%3] + strconv.Itoa(i/3)})
+		words = append(words, []string{"yes", "no", "maybe"}[i%3]+strconv.Itoa(i/3))
 	}
-	big.AppendRow([]string{"yes"})
-	big.AppendRow([]string{"no"})
+	words = append(words, "yes", "no")
+	big := table.New("all.csv", []string{"word"}, [][]string{words})
 	inds := Find([]*table.Table{small, big}, Options{})
 	for _, d := range inds {
 		if d.DepTable == 0 {
@@ -98,13 +101,13 @@ func TestMinDistinctFilter(t *testing.T) {
 
 func TestRequireKeyReferenced(t *testing.T) {
 	// Both columns non-key: A ⊆ B holds but is filtered.
-	a := table.New("a.csv", []string{"v"})
-	b := table.New("b.csv", []string{"v"})
+	var va, vb []string
 	for i := 0; i < 30; i++ {
-		a.AppendRow([]string{strconv.Itoa(i % 15)})
-		b.AppendRow([]string{strconv.Itoa(i % 15)})
-		b.AppendRow([]string{strconv.Itoa(i%15 + 100)})
+		va = append(va, strconv.Itoa(i%15))
+		vb = append(vb, strconv.Itoa(i%15), strconv.Itoa(i%15+100))
 	}
+	a := table.New("a.csv", []string{"v"}, [][]string{va})
+	b := table.New("b.csv", []string{"v"}, [][]string{vb})
 	all := Find([]*table.Table{a, b}, Options{})
 	if len(all) == 0 {
 		t.Fatal("expected inclusions between overlapping columns")

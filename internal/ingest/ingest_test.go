@@ -58,7 +58,7 @@ func fixture(t *testing.T) (corpusDir, snapDir, updated, deleted string) {
 			for i := range row {
 				row[i] = fmt.Sprintf("revised-%d", i)
 			}
-			rev.AppendRow(row)
+			rev = table.FromRows(rev.Name, rev.Cols, append(rev.Rows(), row))
 			body = csvBytes(t, rev)
 		}
 		if err := os.WriteFile(filepath.Join(snapDir, name), body, 0o644); err != nil {

@@ -12,11 +12,11 @@ import (
 
 // idTable builds a table with an id column 1..n and a payload column.
 func idTable(name string, n int, payload string) *table.Table {
-	t := table.New(name, []string{"id", payload})
+	var rows [][]string
 	for i := 1; i <= n; i++ {
-		t.AppendRow([]string{strconv.Itoa(i), fmt.Sprintf("%s-%d", payload, i)})
+		rows = append(rows, []string{strconv.Itoa(i), fmt.Sprintf("%s-%d", payload, i)})
 	}
-	return t
+	return table.FromRows(name, []string{"id", payload}, rows)
 }
 
 func TestFindPerfectOverlap(t *testing.T) {
@@ -44,10 +44,11 @@ func TestFindPerfectOverlap(t *testing.T) {
 func TestThresholdExcludesLowOverlap(t *testing.T) {
 	t1 := idTable("a.csv", 50, "x")
 	// 50..99 overlaps 1..50 in a single value (50): Jaccard ~ 0.01.
-	t2 := table.New("b.csv", []string{"id", "y"})
+	var rows [][]string
 	for i := 50; i < 100; i++ {
-		t2.AppendRow([]string{strconv.Itoa(i), "v"})
+		rows = append(rows, []string{strconv.Itoa(i), "v"})
 	}
+	t2 := table.FromRows("b.csv", []string{"id", "y"}, rows)
 	an := Find([]*table.Table{t1, t2}, Options{})
 	if len(an.Pairs) != 0 {
 		t.Errorf("pairs = %v, want none", an.Pairs)
@@ -61,13 +62,12 @@ func TestThresholdExcludesLowOverlap(t *testing.T) {
 
 func TestMinUniqueFilter(t *testing.T) {
 	// Boolean-ish columns overlap perfectly but have 2 distinct values.
-	t1 := table.New("a.csv", []string{"flag"})
-	t2 := table.New("b.csv", []string{"flag"})
+	var flags []string
 	for i := 0; i < 40; i++ {
-		v := strconv.Itoa(i % 2)
-		t1.AppendRow([]string{v})
-		t2.AppendRow([]string{v})
+		flags = append(flags, strconv.Itoa(i%2))
 	}
+	t1 := table.New("a.csv", []string{"flag"}, [][]string{flags})
+	t2 := table.New("b.csv", []string{"flag"}, [][]string{flags})
 	an := Find([]*table.Table{t1, t2}, Options{})
 	if len(an.Pairs) != 0 || an.Eligible != 0 {
 		t.Errorf("boolean columns must be filtered: pairs=%d eligible=%d", len(an.Pairs), an.Eligible)
@@ -79,11 +79,12 @@ func TestMinUniqueFilter(t *testing.T) {
 }
 
 func TestSameTableColumnsNotPaired(t *testing.T) {
-	tb := table.New("a.csv", []string{"x", "y"})
+	var rows [][]string
 	for i := 1; i <= 30; i++ {
 		v := strconv.Itoa(i)
-		tb.AppendRow([]string{v, v})
+		rows = append(rows, []string{v, v})
 	}
+	tb := table.FromRows("a.csv", []string{"x", "y"}, rows)
 	an := Find([]*table.Table{tb}, Options{})
 	if len(an.Pairs) != 0 {
 		t.Errorf("intra-table pair reported: %v", an.Pairs)
@@ -93,16 +94,17 @@ func TestSameTableColumnsNotPaired(t *testing.T) {
 func TestExpansionRatioNonKey(t *testing.T) {
 	// Each value appears 3 times in t1 and 2 times in t2 over 10 values:
 	// join output = 10·3·2 = 60; larger table has 30 rows; expansion 2.
-	t1 := table.New("a.csv", []string{"v"})
-	t2 := table.New("b.csv", []string{"v"})
+	var v1, v2 []string
 	for val := 0; val < 10; val++ {
 		for k := 0; k < 3; k++ {
-			t1.AppendRow([]string{strconv.Itoa(val)})
+			v1 = append(v1, strconv.Itoa(val))
 		}
 		for k := 0; k < 2; k++ {
-			t2.AppendRow([]string{strconv.Itoa(val)})
+			v2 = append(v2, strconv.Itoa(val))
 		}
 	}
+	t1 := table.New("a.csv", []string{"v"}, [][]string{v1})
+	t2 := table.New("b.csv", []string{"v"}, [][]string{v2})
 	an := Find([]*table.Table{t1, t2}, Options{})
 	if len(an.Pairs) != 1 {
 		t.Fatalf("pairs = %d", len(an.Pairs))
@@ -118,12 +120,13 @@ func TestExpansionRatioNonKey(t *testing.T) {
 
 func TestJaccardExact(t *testing.T) {
 	// 9 shared of 10 each: J = 9/11 ≈ 0.818.
-	t1 := table.New("a.csv", []string{"v"})
-	t2 := table.New("b.csv", []string{"v"})
+	var v1, v2 []string
 	for i := 0; i < 10; i++ {
-		t1.AppendRow([]string{fmt.Sprintf("v%02d", i)})
-		t2.AppendRow([]string{fmt.Sprintf("v%02d", i+1)})
+		v1 = append(v1, fmt.Sprintf("v%02d", i))
+		v2 = append(v2, fmt.Sprintf("v%02d", i+1))
 	}
+	t1 := table.New("a.csv", []string{"v"}, [][]string{v1})
+	t2 := table.New("b.csv", []string{"v"}, [][]string{v2})
 	an := Find([]*table.Table{t1, t2}, Options{MinJaccard: 0.8})
 	if len(an.Pairs) != 1 {
 		t.Fatalf("pairs = %d", len(an.Pairs))
@@ -142,16 +145,17 @@ func TestJaccardExact(t *testing.T) {
 func TestNullsExcludedFromOverlap(t *testing.T) {
 	// Shared values + many nulls on both sides: nulls must not join or
 	// count toward the value sets.
-	t1 := table.New("a.csv", []string{"v"})
-	t2 := table.New("b.csv", []string{"v"})
+	var v1, v2 []string
 	for i := 0; i < 15; i++ {
-		t1.AppendRow([]string{strconv.Itoa(i)})
-		t2.AppendRow([]string{strconv.Itoa(i)})
+		v1 = append(v1, strconv.Itoa(i))
+		v2 = append(v2, strconv.Itoa(i))
 	}
 	for i := 0; i < 10; i++ {
-		t1.AppendRow([]string{""})
-		t2.AppendRow([]string{"n/a"})
+		v1 = append(v1, "")
+		v2 = append(v2, "n/a")
 	}
+	t1 := table.New("a.csv", []string{"v"}, [][]string{v1})
+	t2 := table.New("b.csv", []string{"v"}, [][]string{v2})
 	an := Find([]*table.Table{t1, t2}, Options{})
 	if len(an.Pairs) != 1 {
 		t.Fatalf("pairs = %d", len(an.Pairs))
@@ -179,17 +183,17 @@ func TestPrefixFilterAgainstAllPairs(t *testing.T) {
 			for c := range cols {
 				cols[c] = fmt.Sprintf("c%d", c)
 			}
-			tb := table.New(fmt.Sprintf("t%d", ti), cols)
 			nRows := 10 + rng.Intn(60)
 			base := rng.Intn(3) * 2 // overlapping value ranges across tables
-			for r := 0; r < nRows; r++ {
+			rows := make([][]string, nRows)
+			for r := range rows {
 				row := make([]string, nCols)
 				for c := range row {
 					row[c] = strconv.Itoa(base + rng.Intn(25))
 				}
-				tb.AppendRow(row)
+				rows[r] = row
 			}
-			tables = append(tables, tb)
+			tables = append(tables, table.FromRows(fmt.Sprintf("t%d", ti), cols, rows))
 		}
 		for _, minJ := range []float64{0.9, 0.7, 0.5} {
 			got := Find(tables, Options{MinJaccard: minJ})
@@ -216,15 +220,15 @@ func buildBenchCorpus(nTables, nRows int, seed int64) []*table.Table {
 	rng := rand.New(rand.NewSource(seed))
 	var tables []*table.Table
 	for ti := 0; ti < nTables; ti++ {
-		tb := table.New(fmt.Sprintf("t%d", ti), []string{"id", "state", "value"})
-		for r := 0; r < nRows; r++ {
-			tb.AppendRow([]string{
+		rows := make([][]string, nRows)
+		for r := range rows {
+			rows[r] = []string{
 				strconv.Itoa(r + 1),
 				fmt.Sprintf("state-%d", rng.Intn(50)),
 				strconv.Itoa(rng.Intn(100000)),
-			})
+			}
 		}
-		tables = append(tables, tb)
+		tables = append(tables, table.FromRows(fmt.Sprintf("t%d", ti), []string{"id", "state", "value"}, rows))
 	}
 	return tables
 }

@@ -88,11 +88,11 @@ func TestNullBlocksSingleKey(t *testing.T) {
 }
 
 func TestEmptyAndDegenerate(t *testing.T) {
-	empty := table.New("e", []string{"a"})
+	empty := table.New("e", []string{"a"}, [][]string{nil})
 	if got := MinCandidateKeySize(empty, 3); got != 0 {
 		t.Errorf("empty table size = %d", got)
 	}
-	noCols := table.New("n", nil)
+	noCols := table.New("n", nil, nil)
 	if got := MinCandidateKeySize(noCols, 3); got != 0 {
 		t.Errorf("no-column table size = %d", got)
 	}

@@ -141,12 +141,12 @@ func naturalJoin(a, b *table.Table) *table.Table {
 	for _, ib := range extraB {
 		cols = append(cols, b.Cols[ib])
 	}
-	out := table.New("join", cols)
+	var rows [][]string
 	for ra := 0; ra < a.NumRows(); ra++ {
 		for rb := 0; rb < b.NumRows(); rb++ {
 			match := true
 			for i := range sharedA {
-				if a.Data[sharedA[i]][ra] != b.Data[sharedB[i]][rb] {
+				if a.Value(sharedA[i], ra) != b.Value(sharedB[i], rb) {
 					match = false
 					break
 				}
@@ -156,15 +156,15 @@ func naturalJoin(a, b *table.Table) *table.Table {
 			}
 			row := make([]string, 0, len(cols))
 			for c := range a.Cols {
-				row = append(row, a.Data[c][ra])
+				row = append(row, a.Value(c, ra))
 			}
 			for _, ib := range extraB {
-				row = append(row, b.Data[ib][rb])
+				row = append(row, b.Value(ib, rb))
 			}
-			out.AppendRow(row)
+			rows = append(rows, row)
 		}
 	}
-	return out
+	return table.FromRows("join", cols, rows)
 }
 
 func tupleSet(t *table.Table, colOrder []string) map[string]struct{} {
@@ -176,7 +176,7 @@ func tupleSet(t *table.Table, colOrder []string) map[string]struct{} {
 	for r := 0; r < t.NumRows(); r++ {
 		var b strings.Builder
 		for _, c := range idx {
-			b.WriteString(t.Data[c][r])
+			b.WriteString(t.Value(c, r))
 			b.WriteByte(0x1f)
 		}
 		set[b.String()] = struct{}{}

@@ -118,7 +118,7 @@ func (s *Service) ApplyDelta(d Delta) error {
 		ti := s.byName[name]
 		s.hash ^= tableTermOf(s.tables[ti])
 		s.eng.RemoveTable(ti)
-		s.tables[ti] = table.New(name, nil)
+		s.tables[ti] = table.New(name, nil, nil)
 		delete(s.byName, name)
 	}
 	for _, m := range d.Updated {

@@ -13,11 +13,12 @@ import (
 func TestScoreJoinSignals(t *testing.T) {
 	// Two tables sharing a categorical key domain, same dataset.
 	mk := func(name, ds string) *table.Table {
-		tb := table.New(name, []string{"species"})
-		tb.DatasetID = ds
+		var species []string
 		for i := 0; i < 30; i++ {
-			tb.AppendRow([]string{fmt.Sprintf("Species %c%d", 'A'+i%26, i)})
+			species = append(species, fmt.Sprintf("Species %c%d", 'A'+i%26, i))
 		}
+		tb := table.New(name, []string{"species"}, [][]string{species})
+		tb.DatasetID = ds
 		return tb
 	}
 	good := []*table.Table{mk("a.csv", "d"), mk("b.csv", "d")}
@@ -29,11 +30,12 @@ func TestScoreJoinSignals(t *testing.T) {
 	// Two unrelated tables overlapping on incremental ids with large
 	// expansion.
 	mkID := func(name, ds string) *table.Table {
-		tb := table.New(name, []string{"id"})
-		tb.DatasetID = ds
+		var ids []string
 		for i := 0; i < 60; i++ {
-			tb.AppendRow([]string{strconv.Itoa(i%20 + 1)}) // repeats -> expansion
+			ids = append(ids, strconv.Itoa(i%20+1)) // repeats -> expansion
 		}
+		tb := table.New(name, []string{"id"}, [][]string{ids})
+		tb.DatasetID = ds
 		return tb
 	}
 	bad := []*table.Table{mkID("x.csv", "d1"), mkID("y.csv", "d2")}
@@ -51,11 +53,8 @@ func TestScoreJoinSignals(t *testing.T) {
 
 func TestRankJoinsOrdering(t *testing.T) {
 	mk := func(name, ds, col string, vals []string) *table.Table {
-		tb := table.New(name, []string{col})
+		tb := table.New(name, []string{col}, [][]string{vals})
 		tb.DatasetID = ds
-		for _, v := range vals {
-			tb.AppendRow([]string{v})
-		}
 		return tb
 	}
 	var species []string
@@ -90,11 +89,12 @@ func TestRankJoinsOrdering(t *testing.T) {
 func TestUnionHousingScenario(t *testing.T) {
 	mk := func(houseType, council string) *table.Table {
 		name := fmt.Sprintf("housing-%s-%s.csv", houseType, council)
-		tb := table.New(name, []string{"house_type", "council", "year", "starts"})
-		tb.DatasetID = "housing"
+		var rows [][]string
 		for y := 0; y < 15; y++ {
-			tb.AppendRow([]string{houseType, council, strconv.Itoa(2005 + y), strconv.Itoa((y*37 + len(houseType)) % 500)})
+			rows = append(rows, []string{houseType, council, strconv.Itoa(2005 + y), strconv.Itoa((y*37 + len(houseType)) % 500)})
 		}
+		tb := table.FromRows(name, []string{"house_type", "council", "year", "starts"}, rows)
+		tb.DatasetID = "housing"
 		return tb
 	}
 	target := mk("detached", "camden")
@@ -154,11 +154,12 @@ func TestNameOverlap(t *testing.T) {
 func BenchmarkRankJoins(b *testing.B) {
 	var tables []*table.Table
 	for i := 0; i < 40; i++ {
-		tb := table.New(fmt.Sprintf("t%d.csv", i), []string{"id"})
-		tb.DatasetID = fmt.Sprintf("d%d", i/4)
+		var ids []string
 		for r := 0; r < 100; r++ {
-			tb.AppendRow([]string{strconv.Itoa(r + 1)})
+			ids = append(ids, strconv.Itoa(r+1))
 		}
+		tb := table.New(fmt.Sprintf("t%d.csv", i), []string{"id"}, [][]string{ids})
+		tb.DatasetID = fmt.Sprintf("d%d", i/4)
 		tables = append(tables, tb)
 	}
 	pairs := join.Find(tables, join.Options{}).Pairs

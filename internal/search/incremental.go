@@ -106,7 +106,7 @@ func (e *Engine) RemoveTable(ti int) {
 			e.unindex(int32(id))
 		}
 	}
-	e.tables[ti] = table.New(old.Name, nil)
+	e.tables[ti] = table.New(old.Name, nil, nil)
 	if e.meta != nil && ti < len(e.meta) {
 		e.meta[ti] = TableMeta{}
 	}

@@ -10,11 +10,11 @@ import (
 
 // mkOverlap builds an id/payload table covering [from, to].
 func mkOverlap(name string, from, to int) *table.Table {
-	t := table.New(name, []string{"id", "payload"})
+	var rows [][]string
 	for i := from; i <= to; i++ {
-		t.AppendRow([]string{strconv.Itoa(i), name})
+		rows = append(rows, []string{strconv.Itoa(i), name})
 	}
-	return t
+	return table.FromRows(name, []string{"id", "payload"}, rows)
 }
 
 // sameResults asserts both engines answer the full query battery
@@ -89,7 +89,7 @@ func TestIncrementalMatchesRebuild(t *testing.T) {
 
 			patchedTables := []*table.Table{
 				initial[0],
-				table.New("b.csv", nil), // deleted placeholder
+				table.New("b.csv", nil, nil), // deleted placeholder
 				updatedC,
 				added,
 			}
@@ -112,10 +112,11 @@ func TestIncrementalMatchesRebuild(t *testing.T) {
 // removed table takes its gated columns' skip counts with it, and an
 // update replaces them with the revision's.
 func TestRemoveTableRevertsSkips(t *testing.T) {
-	few := table.New("few.csv", []string{"id", "empty"})
+	var fewRows [][]string
 	for i := 0; i < 3; i++ { // below MinUniqueDefault, plus an all-null column
-		few.AppendRow([]string{strconv.Itoa(i), ""})
+		fewRows = append(fewRows, []string{strconv.Itoa(i), ""})
 	}
+	few := table.FromRows("few.csv", []string{"id", "empty"}, fewRows)
 	// big.csv: id indexed, constant payload below the bar; few.csv: id
 	// below the bar, empty column with no values.
 	e := NewWithOptions([]*table.Table{mkOverlap("big.csv", 1, 30), few},

@@ -16,21 +16,23 @@ import (
 // table, a transaction table sharing its id column, a schema twin of
 // the transaction table, and an unrelated table.
 func rankCorpus() []*table.Table {
-	master := table.New("master.csv", []string{"station_id", "name"})
+	var master, tx, twin, other [][]string
 	for i := 0; i < 30; i++ {
-		master.AppendRow([]string{strconv.Itoa(1000 + i), fmt.Sprintf("station %d", i)})
+		master = append(master, []string{strconv.Itoa(1000 + i), fmt.Sprintf("station %d", i)})
 	}
-	tx := table.New("tx-2019.csv", []string{"station_id", "count"})
-	twin := table.New("tx-2020.csv", []string{"station_id", "count"})
 	for i := 0; i < 30; i++ {
-		tx.AppendRow([]string{strconv.Itoa(1000 + i), strconv.Itoa(i * 3)})
-		twin.AppendRow([]string{strconv.Itoa(1000 + i), strconv.Itoa(i * 5)})
+		tx = append(tx, []string{strconv.Itoa(1000 + i), strconv.Itoa(i * 3)})
+		twin = append(twin, []string{strconv.Itoa(1000 + i), strconv.Itoa(i * 5)})
 	}
-	other := table.New("other.csv", []string{"color", "weight"})
 	for i := 0; i < 30; i++ {
-		other.AppendRow([]string{fmt.Sprintf("color-%d", i), strconv.Itoa(i)})
+		other = append(other, []string{fmt.Sprintf("color-%d", i), strconv.Itoa(i)})
 	}
-	return []*table.Table{master, tx, twin, other}
+	return []*table.Table{
+		table.FromRows("master.csv", []string{"station_id", "name"}, master),
+		table.FromRows("tx-2019.csv", []string{"station_id", "count"}, tx),
+		table.FromRows("tx-2020.csv", []string{"station_id", "count"}, twin),
+		table.FromRows("other.csv", []string{"color", "weight"}, other),
+	}
 }
 
 func TestRankTablesOrdersPlantedStructure(t *testing.T) {
@@ -116,12 +118,11 @@ func TestMegaCorpusLSHDoesLessWork(t *testing.T) {
 	var corpus []*table.Table
 	const n = 600
 	for i := 0; i < n; i++ {
-		tb := table.New(fmt.Sprintf("t%d.csv", i), []string{"id"})
-		tb.AppendRow([]string{"common"}) // shared by every column
+		ids := []string{"common"} // shared by every column
 		for r := 0; r < 20; r++ {
-			tb.AppendRow([]string{fmt.Sprintf("v-%d-%d", i, r)})
+			ids = append(ids, fmt.Sprintf("v-%d-%d", i, r))
 		}
-		corpus = append(corpus, tb)
+		corpus = append(corpus, table.New(fmt.Sprintf("t%d.csv", i), []string{"id"}, [][]string{ids}))
 	}
 	exact := NewWithOptions(corpus, Options{ExactCutoff: math.MaxInt})
 	lsh := NewWithOptions(corpus, Options{ExactCutoff: 1})
@@ -142,14 +143,15 @@ func TestMegaCorpusLSHDoesLessWork(t *testing.T) {
 // the minUnique gate and empty columns are both counted, and the
 // counts surface through the obs registry.
 func TestSkipLedger(t *testing.T) {
-	low := table.New("low.csv", []string{"flag", "id"})
+	var lowRows, emptyRows [][]string
 	for i := 0; i < 20; i++ {
-		low.AppendRow([]string{strconv.Itoa(i % 2), strconv.Itoa(i)})
+		lowRows = append(lowRows, []string{strconv.Itoa(i % 2), strconv.Itoa(i)})
 	}
-	empty := table.New("empty.csv", []string{"blank", "id"})
 	for i := 0; i < 20; i++ {
-		empty.AppendRow([]string{"", strconv.Itoa(100 + i)})
+		emptyRows = append(emptyRows, []string{"", strconv.Itoa(100 + i)})
 	}
+	low := table.FromRows("low.csv", []string{"flag", "id"}, lowRows)
+	empty := table.FromRows("empty.csv", []string{"blank", "id"}, emptyRows)
 	reg := obs.NewRegistry()
 	e := NewWithOptions([]*table.Table{low, empty},
 		Options{MinUnique: MinUniqueDefault, Registry: reg})
@@ -197,7 +199,7 @@ func TestRankTablesEmptyAndBounds(t *testing.T) {
 	if hs := e.RankTables(corpus[1], 0, 1); hs != nil {
 		t.Errorf("k=0 returned %+v", hs)
 	}
-	empty := table.New("e.csv", nil)
+	empty := table.New("e.csv", nil, nil)
 	if hs := e.RankTables(empty, 5, -1); hs != nil {
 		t.Errorf("empty query returned %+v", hs)
 	}

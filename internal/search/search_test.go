@@ -13,11 +13,11 @@ import (
 // covering 1..30.
 func buildCorpus() []*table.Table {
 	mk := func(name string, from, to int) *table.Table {
-		t := table.New(name, []string{"id", "payload"})
+		var rows [][]string
 		for i := from; i <= to; i++ {
-			t.AppendRow([]string{strconv.Itoa(i), name})
+			rows = append(rows, []string{strconv.Itoa(i), name})
 		}
-		return t
+		return table.FromRows(name, []string{"id", "payload"}, rows)
 	}
 	return []*table.Table{
 		mk("full.csv", 1, 30),    // overlap 30
@@ -28,11 +28,11 @@ func buildCorpus() []*table.Table {
 }
 
 func queryTable() *table.Table {
-	t := table.New("query.csv", []string{"id"})
+	var ids []string
 	for i := 1; i <= 30; i++ {
-		t.AppendRow([]string{strconv.Itoa(i)})
+		ids = append(ids, strconv.Itoa(i))
 	}
-	return t
+	return table.New("query.csv", []string{"id"}, [][]string{ids})
 }
 
 func TestTopKJoinable(t *testing.T) {
@@ -92,12 +92,12 @@ func TestJoinableForThreshold(t *testing.T) {
 func TestAgreesWithJoinFind(t *testing.T) {
 	var corpus []*table.Table
 	for i := 0; i < 8; i++ {
-		tb := table.New(fmt.Sprintf("t%d.csv", i), []string{"id"})
 		base := (i % 3) * 2
+		var ids []string
 		for r := 0; r < 40; r++ {
-			tb.AppendRow([]string{strconv.Itoa(base + r)})
+			ids = append(ids, strconv.Itoa(base+r))
 		}
-		corpus = append(corpus, tb)
+		corpus = append(corpus, table.New(fmt.Sprintf("t%d.csv", i), []string{"id"}, [][]string{ids}))
 	}
 	want := map[[4]int]bool{}
 	for _, p := range join.Find(corpus, join.Options{}).Pairs {
@@ -125,10 +125,11 @@ func TestAgreesWithJoinFind(t *testing.T) {
 }
 
 func TestMinUniqueFilterApplied(t *testing.T) {
-	small := table.New("small.csv", []string{"flag"})
+	var flags []string
 	for i := 0; i < 20; i++ {
-		small.AppendRow([]string{strconv.Itoa(i % 2)})
+		flags = append(flags, strconv.Itoa(i%2))
 	}
+	small := table.New("small.csv", []string{"flag"}, [][]string{flags})
 	e := New([]*table.Table{small}, MinUniqueDefault)
 	if e.NumIndexed() != 0 {
 		t.Errorf("low-cardinality column indexed: %d", e.NumIndexed())
@@ -167,7 +168,7 @@ func TestUnionableFor(t *testing.T) {
 
 func TestEmptyQuery(t *testing.T) {
 	e := New(buildCorpus(), MinUniqueDefault)
-	empty := table.New("e.csv", []string{"id"})
+	empty := table.New("e.csv", []string{"id"}, [][]string{nil})
 	if res := e.TopKJoinable(empty, 0, 5, -1); res != nil {
 		t.Errorf("empty query returned %v", res)
 	}
@@ -179,11 +180,11 @@ func TestEmptyQuery(t *testing.T) {
 func BenchmarkTopKJoinable(b *testing.B) {
 	var corpus []*table.Table
 	for i := 0; i < 200; i++ {
-		tb := table.New(fmt.Sprintf("t%d.csv", i), []string{"id", "state"})
+		var rows [][]string
 		for r := 0; r < 200; r++ {
-			tb.AppendRow([]string{strconv.Itoa(r + i*3), fmt.Sprintf("state-%d", (r+i)%40)})
+			rows = append(rows, []string{strconv.Itoa(r + i*3), fmt.Sprintf("state-%d", (r+i)%40)})
 		}
-		corpus = append(corpus, tb)
+		corpus = append(corpus, table.FromRows(fmt.Sprintf("t%d.csv", i), []string{"id", "state"}, rows))
 	}
 	e := New(corpus, MinUniqueDefault)
 	q := corpus[0]
@@ -196,11 +197,11 @@ func BenchmarkTopKJoinable(b *testing.B) {
 func BenchmarkBuildIndex(b *testing.B) {
 	var corpus []*table.Table
 	for i := 0; i < 100; i++ {
-		tb := table.New(fmt.Sprintf("t%d.csv", i), []string{"id"})
+		var ids []string
 		for r := 0; r < 300; r++ {
-			tb.AppendRow([]string{strconv.Itoa(r + i)})
+			ids = append(ids, strconv.Itoa(r+i))
 		}
-		corpus = append(corpus, tb)
+		corpus = append(corpus, table.New(fmt.Sprintf("t%d.csv", i), []string{"id"}, [][]string{ids}))
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -24,8 +24,6 @@ const (
 // Options configures a Server. Zero values pick the defaults above;
 // CacheEntries < 0 disables the result cache.
 type Options struct {
-	// Workers bounds per-request parallelism (0 = all CPUs).
-	Workers int
 	// MaxConcurrent caps queries executing at once.
 	MaxConcurrent int
 	// QueueDepth caps queries waiting for an execution slot; arrivals

@@ -13,20 +13,20 @@ import (
 )
 
 func grants() *table.Table {
-	t := table.New("grants.csv", []string{"grant_id", "city", "amount", "notes"})
+	var rows [][]string
 	for i := 0; i < 30; i++ {
 		notes := "ok"
 		if i%5 == 0 {
 			notes = ""
 		}
-		t.AppendRow([]string{
+		rows = append(rows, []string{
 			strconv.Itoa(i + 1),
 			[]string{"Waterloo", "Toronto", "Montreal"}[i%3],
 			fmt.Sprintf("%d.5", 100+i),
 			notes,
 		})
 	}
-	return t
+	return table.FromRows("grants.csv", []string{"grant_id", "city", "amount", "notes"}, rows)
 }
 
 func TestSchemaBasics(t *testing.T) {
@@ -57,12 +57,13 @@ func TestSchemaPostgresTypes(t *testing.T) {
 }
 
 func TestSchemaCompositeKey(t *testing.T) {
-	tb := table.New("panel.csv", []string{"city", "year", "value"})
+	var rows [][]string
 	for _, c := range []string{"Waterloo", "Toronto"} {
 		for y := 2018; y <= 2022; y++ {
-			tb.AppendRow([]string{c, strconv.Itoa(y), "1"})
+			rows = append(rows, []string{c, strconv.Itoa(y), "1"})
 		}
 	}
+	tb := table.FromRows("panel.csv", []string{"city", "year", "value"}, rows)
 	ddl := Schema([]*table.Table{tb}, Options{})
 	if !strings.Contains(ddl, `PRIMARY KEY ("city", "year")`) {
 		t.Errorf("composite key missing:\n%s", ddl)
@@ -70,14 +71,15 @@ func TestSchemaCompositeKey(t *testing.T) {
 }
 
 func TestSchemaForeignKeys(t *testing.T) {
-	lookup := table.New("species.csv", []string{"species", "grp"})
+	var lookupRows, factRows [][]string
 	for i := 0; i < 20; i++ {
-		lookup.AppendRow([]string{fmt.Sprintf("Species %02d", i), "G"})
+		lookupRows = append(lookupRows, []string{fmt.Sprintf("Species %02d", i), "G"})
 	}
-	facts := table.New("landings.csv", []string{"rec_id", "species", "weight"})
 	for r := 0; r < 80; r++ {
-		facts.AppendRow([]string{strconv.Itoa(r + 1), fmt.Sprintf("Species %02d", r%20), strconv.Itoa(r)})
+		factRows = append(factRows, []string{strconv.Itoa(r + 1), fmt.Sprintf("Species %02d", r%20), strconv.Itoa(r)})
 	}
+	lookup := table.FromRows("species.csv", []string{"species", "grp"}, lookupRows)
+	facts := table.FromRows("landings.csv", []string{"rec_id", "species", "weight"}, factRows)
 	ddl := Schema([]*table.Table{lookup, facts}, Options{ForeignKeys: true})
 	if !strings.Contains(ddl, `FOREIGN KEY ("species") REFERENCES "species" ("species")`) {
 		t.Errorf("foreign key missing:\n%s", ddl)
@@ -87,12 +89,13 @@ func TestSchemaForeignKeys(t *testing.T) {
 func TestSchemaOfBCNFDecomposition(t *testing.T) {
 	// End to end: decompose a denormalized table, emit its schema with
 	// fks — the paper's "serve the base tables" suggestion.
-	orig := table.New("awards.csv", []string{"award_id", "city", "province", "amount"})
+	var rows [][]string
 	cities := []struct{ c, p string }{{"Waterloo", "ON"}, {"Toronto", "ON"}, {"Montreal", "QC"}}
 	for i := 0; i < 60; i++ {
 		c := cities[i%3]
-		orig.AppendRow([]string{strconv.Itoa(i + 1), c.c, c.p, strconv.Itoa(1000 + i)})
+		rows = append(rows, []string{strconv.Itoa(i + 1), c.c, c.p, strconv.Itoa(1000 + i)})
 	}
+	orig := table.FromRows("awards.csv", []string{"award_id", "city", "province", "amount"}, rows)
 	res := normalize.Decompose(orig, fd.MaxLHS, rand.New(rand.NewSource(2)))
 	if res.InBCNF() {
 		t.Fatal("expected decomposition")

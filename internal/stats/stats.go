@@ -24,37 +24,6 @@ func ApproxEq(a, b float64) bool {
 	return d <= tol || d <= tol*math.Max(math.Abs(a), math.Abs(b))
 }
 
-// Summary holds the basic descriptive statistics of a sample.
-type Summary struct {
-	N      int
-	Min    float64
-	Max    float64
-	Mean   float64
-	Median float64
-	Sum    float64
-}
-
-// Summarize computes a Summary of xs. An empty sample yields a zero
-// Summary.
-func Summarize(xs []float64) Summary {
-	if len(xs) == 0 {
-		return Summary{}
-	}
-	s := Summary{N: len(xs), Min: xs[0], Max: xs[0]}
-	for _, x := range xs {
-		s.Sum += x
-		if x < s.Min {
-			s.Min = x
-		}
-		if x > s.Max {
-			s.Max = x
-		}
-	}
-	s.Mean = s.Sum / float64(s.N)
-	s.Median = Percentile(xs, 50)
-	return s
-}
-
 // Percentile returns the p-th percentile (0..100) of xs using linear
 // interpolation between closest ranks. xs need not be sorted. It
 // returns 0 for an empty sample.
@@ -135,70 +104,6 @@ func Floats(xs []int) []float64 {
 	return out
 }
 
-// Floats64 converts an int64 sample to float64s.
-func Floats64(xs []int64) []float64 {
-	out := make([]float64, len(xs))
-	for i, x := range xs {
-		out[i] = float64(x)
-	}
-	return out
-}
-
-// CDFPoint is one point of an empirical CDF: Frac of the sample is
-// <= Value.
-type CDFPoint struct {
-	Value float64
-	Frac  float64
-}
-
-// CDF returns the empirical CDF of xs evaluated at each distinct value.
-func CDF(xs []float64) []CDFPoint {
-	if len(xs) == 0 {
-		return nil
-	}
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
-	sort.Float64s(sorted)
-	var out []CDFPoint
-	n := float64(len(sorted))
-	for i := 0; i < len(sorted); i++ {
-		// Emit at the last occurrence of each distinct value.
-		if i+1 < len(sorted) && sorted[i+1] == sorted[i] { //lint:allow(floatcmp) exact on purpose: deduplicating identical sorted sample values
-			continue
-		}
-		out = append(out, CDFPoint{Value: sorted[i], Frac: float64(i+1) / n})
-	}
-	return out
-}
-
-// FracAtMost returns the fraction of the sample that is <= v.
-func FracAtMost(xs []float64, v float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	n := 0
-	for _, x := range xs {
-		if x <= v {
-			n++
-		}
-	}
-	return float64(n) / float64(len(xs))
-}
-
-// FracAtLeast returns the fraction of the sample that is >= v.
-func FracAtLeast(xs []float64, v float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	n := 0
-	for _, x := range xs {
-		if x >= v {
-			n++
-		}
-	}
-	return float64(n) / float64(len(xs))
-}
-
 // Bucket is one histogram bucket covering [Lo, Hi).
 type Bucket struct {
 	Lo, Hi float64
@@ -237,18 +142,6 @@ func Histogram(xs []float64, bounds []float64) []Bucket {
 	return buckets
 }
 
-// LogBounds returns bucket bounds 0, 1, 10, 100, ... up to the first
-// power of ten >= max (at least maxExp decades).
-func LogBounds(max float64) []float64 {
-	bounds := []float64{0, 1}
-	v := 1.0
-	for v < max {
-		v *= 10
-		bounds = append(bounds, v)
-	}
-	return bounds
-}
-
 // LetterValues is the letter-value summary used by boxen plots
 // (Figure 8): the median plus successive "letter" quantile pairs at
 // depths 1/4, 1/8, 1/16, ... from each tail.
@@ -282,12 +175,6 @@ func LetterValueSummary(xs []float64, minBox int) LetterValues {
 		depth /= 2
 	}
 	return lv
-}
-
-// Quartiles returns the 25th, 50th and 75th percentiles.
-func Quartiles(xs []float64) (q1, q2, q3 float64) {
-	qs := Percentiles(xs, 25, 50, 75)
-	return qs[0], qs[1], qs[2]
 }
 
 // FormatCount renders n with SI-style suffixes the way the paper's

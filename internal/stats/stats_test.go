@@ -10,16 +10,6 @@ import (
 
 func almostEq(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
 
-func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{4, 1, 3, 2})
-	if s.N != 4 || s.Min != 1 || s.Max != 4 || !almostEq(s.Mean, 2.5) || !almostEq(s.Median, 2.5) || s.Sum != 10 {
-		t.Errorf("Summarize = %+v", s)
-	}
-	if z := Summarize(nil); z.N != 0 {
-		t.Errorf("Summarize(nil) = %+v, want zero", z)
-	}
-}
-
 func TestPercentile(t *testing.T) {
 	xs := []float64{10, 20, 30, 40, 50}
 	cases := []struct{ p, want float64 }{
@@ -129,45 +119,6 @@ func TestHistogramTotalPreserved(t *testing.T) {
 	}
 }
 
-func TestLogBounds(t *testing.T) {
-	b := LogBounds(5000)
-	want := []float64{0, 1, 10, 100, 1000, 10000}
-	if len(b) != len(want) {
-		t.Fatalf("LogBounds(5000) = %v", b)
-	}
-	for i := range want {
-		if b[i] != want[i] {
-			t.Fatalf("LogBounds(5000) = %v, want %v", b, want)
-		}
-	}
-}
-
-func TestCDF(t *testing.T) {
-	pts := CDF([]float64{1, 1, 2, 4})
-	if len(pts) != 3 {
-		t.Fatalf("CDF distinct points = %d, want 3", len(pts))
-	}
-	if pts[0].Value != 1 || !almostEq(pts[0].Frac, 0.5) {
-		t.Errorf("pts[0] = %+v", pts[0])
-	}
-	if pts[2].Value != 4 || !almostEq(pts[2].Frac, 1) {
-		t.Errorf("pts[2] = %+v", pts[2])
-	}
-}
-
-func TestFracAtMostAtLeast(t *testing.T) {
-	xs := []float64{1, 2, 3, 4}
-	if got := FracAtMost(xs, 2); !almostEq(got, 0.5) {
-		t.Errorf("FracAtMost = %g", got)
-	}
-	if got := FracAtLeast(xs, 3); !almostEq(got, 0.5) {
-		t.Errorf("FracAtLeast = %g", got)
-	}
-	if FracAtMost(nil, 1) != 0 || FracAtLeast(nil, 1) != 0 {
-		t.Error("empty sample should give 0")
-	}
-}
-
 func TestLetterValueSummary(t *testing.T) {
 	xs := make([]float64, 1000)
 	for i := range xs {
@@ -212,19 +163,9 @@ func TestFormatCount(t *testing.T) {
 	}
 }
 
-func TestQuartiles(t *testing.T) {
-	q1, q2, q3 := Quartiles([]float64{1, 2, 3, 4, 5})
-	if q1 != 2 || q2 != 3 || q3 != 4 {
-		t.Errorf("Quartiles = %g %g %g", q1, q2, q3)
-	}
-}
-
 func TestFloatsConversions(t *testing.T) {
 	if f := Floats([]int{1, 2}); f[0] != 1 || f[1] != 2 {
 		t.Errorf("Floats = %v", f)
-	}
-	if f := Floats64([]int64{3, 4}); f[0] != 3 || f[1] != 4 {
-		t.Errorf("Floats64 = %v", f)
 	}
 	if m := MedianInts([]int{1, 2, 3}); m != 2 {
 		t.Errorf("MedianInts = %g", m)

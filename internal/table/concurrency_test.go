@@ -182,24 +182,41 @@ func TestProjectSharesPublishedCaches(t *testing.T) {
 	}
 }
 
-// TestInvalidateProfilesPublishesFreshGeneration: invalidation must
-// swap in a whole new cache generation — later accessors rebuild and
-// republish rather than seeing stale values.
-func TestInvalidateProfilesPublishesFreshGeneration(t *testing.T) {
-	tb := stressTable(3, 40)
-	before := tb.Profile(1)
-	keyBefore := tb.SchemaKey()
+// TestViewsProfileConcurrently: a table and its Project, PrefixShared
+// and SelectRows views share cell slices (Project also shares the
+// caches published before it), and goroutines profile all of them at
+// once. Every profile must equal a cold sequential build of the same
+// view; under -race this also shows the shared cells are only read.
+func TestViewsProfileConcurrently(t *testing.T) {
+	const goroutines = 8
+	views := func() []*Table {
+		tb := stressTable(5, 300)
+		tb.Profile(0) // published before projecting, so Project shares it
+		return []*Table{tb, tb.Project([]int{4, 0, 2}), tb.PrefixShared(120), tb.SelectRows([]int{5, 3, 299, 0, 3})}
+	}
+	hot := views()
 
-	tb.InvalidateProfiles()
-	after := tb.Profile(1)
-	if after == before {
-		t.Error("InvalidateProfiles left the old *ColumnProfile published")
+	var wg sync.WaitGroup
+	wg.Add(goroutines)
+	for g := 0; g < goroutines; g++ {
+		go func(g int) {
+			defer wg.Done()
+			for i := range hot {
+				v := hot[(i+g)%len(hot)]
+				for c := 0; c < v.NumCols(); c++ {
+					v.Profile((c + g) % v.NumCols())
+				}
+			}
+		}(g)
 	}
-	if !reflect.DeepEqual(after, before) {
-		t.Error("rebuilt profile differs in value from the original")
-	}
-	if tb.SchemaKey() != keyBefore {
-		t.Error("schema key changed across invalidation of an unchanged table")
+	wg.Wait()
+
+	for i, cold := range views() {
+		for c := 0; c < cold.NumCols(); c++ {
+			if !reflect.DeepEqual(hot[i].Profile(c), cold.Profile(c)) {
+				t.Fatalf("view %d, column %d: concurrent profile differs from a sequential one", i, c)
+			}
+		}
 	}
 }
 
@@ -259,7 +276,7 @@ func TestEncodePoolConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 	for i := 0; i < 50; i++ { // churn the pool
-		encodeColumn(stressTable(1, 200+i).Data[0])
+		encodeColumn(stressTable(1, 200+i).Column(0))
 	}
 
 	check := func(got *Table, rows int) {

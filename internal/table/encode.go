@@ -252,16 +252,7 @@ func hashString(v string) uint64 {
 // under that column's build lock — racing goroutines block only for
 // the duration of the one build and then share the published value.
 func (t *Table) Encoding(c int) *Encoding {
-	slot := &t.state().cols[c]
-	if e := slot.enc.Load(); e != nil {
-		return e
-	}
-	return t.buildEncoding(slot, c)
-}
-
-// encodingOf returns column c's encoding given its slot (avoiding a
-// second state() load on slow paths that already resolved it).
-func (t *Table) encodingOf(slot *colSlot, c int) *Encoding {
+	slot := &t.slots[c]
 	if e := slot.enc.Load(); e != nil {
 		return e
 	}
@@ -269,7 +260,8 @@ func (t *Table) encodingOf(slot *colSlot, c int) *Encoding {
 }
 
 // buildEncoding is Encoding's slow path: exactly-once build under the
-// column's lock, then atomic publication.
+// column's lock, then atomic publication. Encoding-backed tables never
+// get here: FromEncodings publishes every encoding at construction.
 func (t *Table) buildEncoding(slot *colSlot, c int) *Encoding {
 	done := buildStart(BuildEncode)
 	slot.mu.Lock()
@@ -278,7 +270,7 @@ func (t *Table) buildEncoding(slot *colSlot, c int) *Encoding {
 		done(false)
 		return e
 	}
-	e := encodeColumn(t.Data[c])
+	e := encodeColumn(t.cells[c])
 	slot.enc.Store(e)
 	done(true)
 	return e
@@ -303,24 +295,11 @@ func (t *Table) Value(c, r int) string { return t.data()[c][r] }
 // its own profiles.
 func (t *Table) PrefixShared(n int) *Table {
 	d := t.data()
-	p := New(t.Name, t.Cols)
-	p.DatasetID = t.DatasetID
+	data := make([][]string, len(d))
 	for c := range d {
-		p.Data[c] = d[c][:n]
+		data[c] = d[c][:n]
 	}
+	p := New(t.Name, t.Cols, data)
+	p.DatasetID = t.DatasetID
 	return p
-}
-
-// AppendTable appends all rows of src, which must have the same column
-// count, preserving row order. Used by the union-all materialization.
-func (t *Table) AppendTable(src *Table) {
-	if src.NumCols() != t.NumCols() {
-		panic("table: AppendTable column count mismatch")
-	}
-	t.data()
-	sd := src.data()
-	for c := range t.Data {
-		t.Data[c] = append(t.Data[c], sd[c]...)
-	}
-	t.InvalidateProfiles()
 }

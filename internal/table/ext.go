@@ -6,9 +6,10 @@ import "fmt"
 // a table whose dictionary encodings were built elsewhere (typically
 // deserialized from a colstore file and pointing into a read-only
 // mmap) is constructed with every per-column cache pre-published and
-// no raw Data at all. Analyses that run on codes and hashes — the
+// no raw cells at all. Analyses that run on codes and hashes — the
 // study's hot paths — never materialize a single row; the cold
-// row-level accessors rebuild Data from the dictionaries on first use.
+// row-level accessors rebuild the cells from the dictionaries on first
+// use.
 
 // EncodingFromParts assembles an Encoding from externally serialized
 // parts — the read-only construction path used by the colstore reader.
@@ -52,8 +53,8 @@ func EncodingFromParts(dict []string, codes []uint32, dictCounts []int32, dictNu
 // encodings, one per column. The encodings are published into the
 // table's caches at construction — before any reader can exist, so the
 // stores need no build mutex (the still-private half of the
-// publication protocol) — and Data stays nil until a row-level
-// accessor materializes it. Row counts must agree across columns.
+// publication protocol) — and the cells stay nil until a row-level
+// accessor materializes them. Row counts must agree across columns.
 func FromEncodings(name string, cols []string, encs []*Encoding) (*Table, error) {
 	if len(cols) != len(encs) {
 		return nil, fmt.Errorf("table: %s: %d columns, %d encodings", name, len(cols), len(encs))
@@ -70,18 +71,13 @@ func FromEncodings(name string, cols []string, encs []*Encoding) (*Table, error)
 			return nil, fmt.Errorf("table: %s: column %d has %d rows, column 0 has %d", name, i, len(e.Codes), rows)
 		}
 	}
-	t := &Table{Name: name, Cols: append([]string(nil), cols...), extRows: rows}
-	s := &tableState{cols: make([]colSlot, len(cols))}
-	for i, e := range encs {
-		s.cols[i].enc.Store(e)
-	}
-	t.st.Store(s)
+	t := newTable(name, cols, nil, rows, encs, nil)
 	t.ext.Store(true)
 	return t, nil
 }
 
 // Encoded reports whether the table is encoding-backed and has not
-// materialized its raw Data yet.
+// materialized its raw cells yet.
 func (t *Table) Encoded() bool { return t.ext.Load() }
 
 // data returns the raw cell columns, materializing them from the
@@ -89,32 +85,31 @@ func (t *Table) Encoded() bool { return t.ext.Load() }
 // fast path for ordinary tables is one atomic load.
 func (t *Table) data() [][]string {
 	if !t.ext.Load() {
-		return t.Data
+		return t.cells
 	}
-	t.materializeData()
-	return t.Data
+	t.materializeCells()
+	return t.cells
 }
 
-// materializeData rebuilds Data from the published encodings, exactly
-// once. Data is fully built before the ext flag flips, so concurrent
-// readers either see the nil Data (and come here) or the complete
-// materialization — never a partial one.
-func (t *Table) materializeData() {
+// materializeCells rebuilds the cells from the published encodings,
+// exactly once. The cells are fully built before the ext flag flips, so
+// concurrent readers either see the nil cells (and come here) or the
+// complete materialization — never a partial one.
+func (t *Table) materializeCells() {
 	t.dataMu.Lock()
 	defer t.dataMu.Unlock()
 	if !t.ext.Load() {
 		return
 	}
 	d := make([][]string, len(t.Cols))
-	s := t.state()
 	for c := range t.Cols {
-		e := s.cols[c].enc.Load()
+		e := t.slots[c].enc.Load()
 		col := make([]string, len(e.Codes))
 		for r, code := range e.Codes {
 			col[r] = e.Dict[code]
 		}
 		d[c] = col
 	}
-	t.Data = d
+	t.cells = d
 	t.ext.Store(false)
 }

@@ -44,7 +44,7 @@ func TestFromEncodingsMatchesSource(t *testing.T) {
 		t.Fatalf("NumCols = %d, want %d", got, want)
 	}
 
-	// Encoded-path reads must not materialize Data.
+	// Encoded-path reads must not materialize the cells.
 	for c := range src.Cols {
 		se, ee := src.Profile(c), ext.Profile(c)
 		if se.Type != ee.Type || se.Nulls != ee.Nulls || se.Distinct != ee.Distinct || se.NumRows != ee.NumRows {
@@ -63,7 +63,7 @@ func TestFromEncodingsMatchesSource(t *testing.T) {
 		t.Fatalf("SchemaKey = %q, want %q", ext.SchemaKey(), src.SchemaKey())
 	}
 	if !ext.Encoded() {
-		t.Fatal("encoded-path reads materialized Data")
+		t.Fatal("encoded-path reads materialized the cells")
 	}
 
 	// Row-level access materializes once and matches the source cells.
@@ -75,21 +75,6 @@ func TestFromEncodingsMatchesSource(t *testing.T) {
 	}
 	if got, want := ext.Value(1, 2), "Wien"; got != want {
 		t.Fatalf("Value(1,2) = %q, want %q", got, want)
-	}
-}
-
-func TestFromEncodingsMutationAfterMaterialize(t *testing.T) {
-	src := FromRows("t.csv", []string{"a"}, [][]string{{"x"}, {"y"}})
-	ext := extTable(t, src)
-	ext.AppendRow([]string{"z"})
-	if got, want := ext.NumRows(), 3; got != want {
-		t.Fatalf("NumRows = %d, want %d", got, want)
-	}
-	if got, want := ext.Value(0, 2), "z"; got != want {
-		t.Fatalf("Value = %q, want %q", got, want)
-	}
-	if got, want := ext.Profile(0).Distinct, 3; got != want {
-		t.Fatalf("Distinct = %d, want %d", got, want)
 	}
 }
 

@@ -7,11 +7,13 @@
 // hashes for joins, and exact stripped partitions (Partition) for
 // distinct counts and duplicate removal.
 //
-// Raw strings are kept as the ingest and serialization representation
-// (Data); every analysis hot path runs on the encoded form instead and
-// recovers raw values through the dictionary. Direct Data access
-// outside this package and csvio is flagged by the ogdplint rawdata
-// check.
+// A table is immutable once constructed: New takes its cells, every
+// other constructor (FromRows, Project, SelectRows, PrefixShared,
+// FromEncodings) is built on it, and the raw cell store is unexported,
+// so no code outside this package can write a cell after the caches
+// over it exist. Raw strings are reachable only through Value, Column,
+// Row/Rows and the column Encoding; every analysis hot path runs on
+// the encoded form and recovers raw values through the dictionary.
 //
 // # Concurrency and the publication contract
 //
@@ -32,10 +34,9 @@
 //     store that publishes them; callers share them freely across
 //     goroutines and must treat them as read-only.
 //
-// Mutation (AppendRow, AppendTable, direct Data writes followed by
-// InvalidateProfiles) still must not overlap with any concurrent
-// access: invalidation swaps in a fresh cache generation but cannot
-// recall values already handed out.
+// Because the cells never change, a published cache never goes stale,
+// and tables may share cell slices (Project, PrefixShared) and
+// published caches (Project) with each other.
 package table
 
 import (
@@ -58,13 +59,11 @@ type RaggedCells struct {
 
 // Table is a named relational table. Values are stored column-major as
 // raw CSV strings; nulls are any value for which values.IsNull is true.
-//
-// Profile, Profiles, Encoding, CanonCodes, SchemaKey, DistinctCount
-// and DistinctRows are safe for concurrent use (lock-free after first
-// publication; see the package comment for the publication contract),
-// so analyses may share a table across goroutines as long as none of
-// them mutates Cols or Data. Mutation (AppendRow, direct Data writes
-// plus InvalidateProfiles) must not overlap with any other access.
+// The cells cannot change after construction (see the package
+// comment), so every method is safe for concurrent use: the lazy
+// caches behind Profile, Profiles, Encoding, CanonCodes, SchemaKey,
+// DistinctCount and DistinctRows are lock-free after first
+// publication.
 type Table struct {
 	// Name identifies the table (typically the resource file name).
 	Name string
@@ -73,34 +72,25 @@ type Table struct {
 	DatasetID string
 	// Cols holds the column names, in order.
 	Cols []string
-	// Data holds the cell values: Data[c][r] is row r of column c.
-	// All columns have the same length. For encoding-backed tables
-	// (FromEncodings) Data starts nil and is materialized from the
-	// dictionaries on first row-level access; always read it through
-	// accessors (or data()) so materialization can happen.
-	Data [][]string
 	// Ragged records cells truncated or padded at ingest time.
 	Ragged RaggedCells
 
-	initMu sync.Mutex                 // guards st creation and invalidation
-	st     atomic.Pointer[tableState] // current lazy-cache generation
+	// cells holds the raw values: cells[c][r] is row r of column c.
+	// For encoding-backed tables (FromEncodings) cells starts nil and
+	// is materialized from the dictionaries on first row-level access;
+	// always read it through data().
+	cells [][]string
+	rows  int
 
-	// ext marks an encoding-backed table whose Data has not been
-	// materialized yet (see FromEncodings); extRows carries its row
-	// count, since len(Data[0]) is meaningless until materialization.
-	ext     atomic.Bool
-	extRows int
-	dataMu  sync.Mutex // serializes the one Data materialization
-}
-
-// tableState is one generation of a table's lazy caches. Invalidation
-// publishes a fresh generation instead of clearing slots in place, so
-// readers of the old generation keep a consistent view.
-type tableState struct {
-	cols []colSlot // indexed like Table.Cols
+	slots []colSlot // per-column caches, indexed like Cols
 
 	schemaMu  sync.Mutex // serializes SchemaKey builds
 	schemaKey atomic.Pointer[string]
+
+	// ext marks an encoding-backed table whose cells have not been
+	// materialized yet (see FromEncodings).
+	ext    atomic.Bool
+	dataMu sync.Mutex // serializes materializeCells
 }
 
 // colSlot holds one column's published caches plus the build lock that
@@ -112,26 +102,53 @@ type colSlot struct {
 	prof atomic.Pointer[ColumnProfile]
 }
 
-// state returns the current cache generation, creating it on first
-// use.
-func (t *Table) state() *tableState {
-	if s := t.st.Load(); s != nil {
-		return s
+// New constructs a table from column-major cells: data[c][r] is row r
+// of column c. The table takes ownership of data, which the caller must
+// not modify afterwards. New panics unless there is exactly one column
+// of cells per name and every column has the same length.
+func New(name string, cols []string, data [][]string) *Table {
+	if len(data) != len(cols) {
+		panic(fmt.Sprintf("table %s: %d columns of cells for %d names", name, len(data), len(cols)))
 	}
-	t.initMu.Lock()
-	defer t.initMu.Unlock()
-	if s := t.st.Load(); s != nil {
-		return s
+	rows := colLen(data)
+	for c, col := range data {
+		if len(col) != rows {
+			panic(fmt.Sprintf("table %s: column %d has %d rows, column 0 has %d", name, c, len(col), rows))
+		}
 	}
-	s := &tableState{cols: make([]colSlot, len(t.Cols))}
-	t.st.Store(s)
-	return s
+	return newTable(name, cols, data, rows, nil, nil)
 }
 
-// New creates an empty table with the given column names.
-func New(name string, cols []string) *Table {
-	t := &Table{Name: name, Cols: append([]string(nil), cols...)}
-	t.Data = make([][]string, len(cols))
+// colLen is the length of the first column of data, 0 without columns.
+func colLen(data [][]string) int {
+	if len(data) == 0 {
+		return 0
+	}
+	return len(data[0])
+}
+
+// newTable is the one place a table and its cache slots are allocated.
+// Its callers have validated the shape. Non-nil entries of encs and
+// profs are published into the slots of the same index; no reader can
+// hold the table yet, so the stores need no build lock.
+func newTable(name string, cols []string, cells [][]string, rows int, encs []*Encoding, profs []*ColumnProfile) *Table {
+	t := &Table{
+		Name:  name,
+		Cols:  append([]string(nil), cols...),
+		cells: cells,
+		rows:  rows,
+		slots: make([]colSlot, len(cols)),
+	}
+	for i, e := range encs {
+		if e != nil {
+			t.slots[i].enc.Store(e)
+		}
+	}
+	for i, p := range profs {
+		if p != nil {
+			t.slots[i].prof.Store(p)
+		}
+	}
 	return t
 }
 
@@ -139,52 +156,34 @@ func New(name string, cols []string) *Table {
 // with empty strings and long rows are truncated to the header width;
 // both fixes are counted in Ragged rather than applied silently.
 func FromRows(name string, cols []string, rows [][]string) *Table {
-	t := New(name, cols)
-	for c := range t.Data {
-		t.Data[c] = make([]string, len(rows))
+	data := make([][]string, len(cols))
+	for c := range data {
+		data[c] = make([]string, len(rows))
 	}
+	var ragged RaggedCells
 	for r, row := range rows {
 		if d := len(row) - len(cols); d > 0 {
-			t.Ragged.Truncated += d
+			ragged.Truncated += d
 		} else if d < 0 {
-			t.Ragged.Padded -= d
+			ragged.Padded -= d
 		}
-		for c := 0; c < len(cols); c++ {
-			if c < len(row) {
-				t.Data[c][r] = row[c]
-			}
+		for c := 0; c < len(cols) && c < len(row); c++ {
+			data[c][r] = row[c]
 		}
 	}
+	t := New(name, cols, data)
+	t.Ragged = ragged
 	return t
 }
 
 // NumRows returns the number of tuples.
-func (t *Table) NumRows() int {
-	if t.ext.Load() {
-		return t.extRows
-	}
-	if len(t.Data) == 0 {
-		return 0
-	}
-	return len(t.Data[0])
-}
+func (t *Table) NumRows() int { return t.rows }
 
 // NumCols returns the number of columns.
 func (t *Table) NumCols() int { return len(t.Cols) }
 
-// AppendRow adds one tuple. The row must have exactly NumCols values.
-func (t *Table) AppendRow(row []string) {
-	if len(row) != len(t.Cols) {
-		panic(fmt.Sprintf("table %s: AppendRow got %d values, want %d", t.Name, len(row), len(t.Cols)))
-	}
-	t.data()
-	for c, v := range row {
-		t.Data[c] = append(t.Data[c], v)
-	}
-	t.InvalidateProfiles()
-}
-
-// Column returns the values of column c.
+// Column returns the values of column c. The slice is shared with the
+// table and must not be mutated.
 func (t *Table) Column(c int) []string { return t.data()[c] }
 
 // ColumnIndex returns the index of the named column, or -1.
@@ -218,56 +217,41 @@ func (t *Table) Rows() [][]string {
 }
 
 // Project returns a new table with only the given column indices, in
-// the given order. Data slices are shared with the receiver, and so
+// the given order. Cell slices are shared with the receiver, and so
 // are any column profiles and encodings already published (both are
 // immutable, so sharing them across tables is safe).
 func (t *Table) Project(cols []int) *Table {
 	d := t.data()
-	p := &Table{Name: t.Name, DatasetID: t.DatasetID}
-	src := t.state()
-	ps := &tableState{cols: make([]colSlot, len(cols))}
+	names := make([]string, len(cols))
+	data := make([][]string, len(cols))
+	encs := make([]*Encoding, len(cols))
+	profs := make([]*ColumnProfile, len(cols))
 	for i, c := range cols {
-		p.Cols = append(p.Cols, t.Cols[c])
-		p.Data = append(p.Data, d[c])
-		if e := src.cols[c].enc.Load(); e != nil {
-			ps.cols[i].enc.Store(e)
-		}
-		if pr := src.cols[c].prof.Load(); pr != nil {
-			ps.cols[i].prof.Store(pr)
-		}
+		names[i] = t.Cols[c]
+		data[i] = d[c]
+		encs[i] = t.slots[c].enc.Load()
+		profs[i] = t.slots[c].prof.Load()
 	}
-	p.st.Store(ps)
+	p := newTable(t.Name, names, data, colLen(data), encs, profs)
+	p.DatasetID = t.DatasetID
 	return p
 }
 
 // SelectRows returns a new table containing the given rows of t, in
-// the given order. Cell values are copied, so the result is
-// independent of the receiver.
+// the given order. Cell values are copied into fresh columns.
 func (t *Table) SelectRows(rows []int) *Table {
 	d := t.data()
-	out := New(t.Name, t.Cols)
-	out.DatasetID = t.DatasetID
-	for c := range out.Data {
+	data := make([][]string, len(d))
+	for c, src := range d {
 		col := make([]string, len(rows))
-		src := d[c]
 		for i, r := range rows {
 			col[i] = src[r]
 		}
-		out.Data[c] = col
+		data[c] = col
 	}
+	out := New(t.Name, t.Cols, data)
+	out.DatasetID = t.DatasetID
 	return out
-}
-
-// Clone returns a deep copy of the table (excluding cached profiles
-// and encodings).
-func (t *Table) Clone() *Table {
-	d := t.data()
-	c := &Table{Name: t.Name, DatasetID: t.DatasetID, Cols: append([]string(nil), t.Cols...), Ragged: t.Ragged}
-	c.Data = make([][]string, len(d))
-	for i, col := range d {
-		c.Data[i] = append([]string(nil), col...)
-	}
-	return c
 }
 
 // ColumnProfile is the cached per-column profile used throughout the
@@ -325,7 +309,7 @@ func HashValue(v string) uint64 { return hashString(v) }
 // builds the profile exactly once under the column's build lock (see
 // the package comment).
 func (t *Table) Profile(c int) *ColumnProfile {
-	slot := &t.state().cols[c]
+	slot := &t.slots[c]
 	if p := slot.prof.Load(); p != nil {
 		return p
 	}
@@ -336,7 +320,7 @@ func (t *Table) Profile(c int) *ColumnProfile {
 // (it has its own exactly-once protocol on the same slot lock), then
 // the profile is derived and published under the lock.
 func (t *Table) buildProfile(slot *colSlot, c int) *ColumnProfile {
-	e := t.encodingOf(slot, c)
+	e := t.Encoding(c)
 	done := buildStart(BuildProfile)
 	slot.mu.Lock()
 	defer slot.mu.Unlock()
@@ -373,33 +357,19 @@ func profileColumn(name string, e *Encoding) *ColumnProfile {
 	}
 }
 
-// InvalidateProfiles drops cached column profiles, encodings, and the
-// schema key by publishing a fresh cache generation; call after
-// mutating Data directly. Values handed out before the invalidation
-// stay valid for (stale) readers but are never returned again.
-// Encoding-backed tables materialize their Data first — the encodings
-// about to be dropped are the only copy of the cell values.
-func (t *Table) InvalidateProfiles() {
-	t.data()
-	t.initMu.Lock()
-	t.st.Store(&tableState{cols: make([]colSlot, len(t.Cols))})
-	t.initMu.Unlock()
-}
-
 // SchemaKey returns the canonical schema identity used for the
 // unionability analysis (§6): the ordered, case-folded column names
 // joined with the columns' broad type classes. Two tables are
 // unionable exactly when their SchemaKeys are equal. The key is
 // computed exactly once and read lock-free afterwards.
 func (t *Table) SchemaKey() string {
-	s := t.state()
-	if k := s.schemaKey.Load(); k != nil {
+	if k := t.schemaKey.Load(); k != nil {
 		return *k
 	}
 	done := buildStart(BuildSchemaKey)
-	s.schemaMu.Lock()
-	defer s.schemaMu.Unlock()
-	if k := s.schemaKey.Load(); k != nil {
+	t.schemaMu.Lock()
+	defer t.schemaMu.Unlock()
+	if k := t.schemaKey.Load(); k != nil {
 		done(false)
 		return *k
 	}
@@ -413,7 +383,7 @@ func (t *Table) SchemaKey() string {
 		b.WriteString(t.Profile(c).Type.BroadClass())
 	}
 	key := b.String()
-	s.schemaKey.Store(&key)
+	t.schemaKey.Store(&key)
 	done(true)
 	return key
 }

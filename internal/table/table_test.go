@@ -40,19 +40,29 @@ func TestBasics(t *testing.T) {
 	}
 }
 
-func TestAppendRow(t *testing.T) {
-	tb := New("x", []string{"a", "b"})
-	tb.AppendRow([]string{"1", "2"})
-	tb.AppendRow([]string{"3", "4"})
-	if tb.NumRows() != 2 || tb.Data[1][1] != "4" {
-		t.Errorf("AppendRow failed: %+v", tb.Data)
+func TestNewPanicsOnRaggedCells(t *testing.T) {
+	tb := New("x", []string{"a", "b"}, [][]string{{"1", "3"}, {"2", "4"}})
+	if tb.NumRows() != 2 || tb.Value(1, 1) != "4" {
+		t.Errorf("New built %d rows, Value(1,1) = %q", tb.NumRows(), tb.Value(1, 1))
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("AppendRow with wrong arity should panic")
-		}
-	}()
-	tb.AppendRow([]string{"only-one"})
+	for _, tc := range []struct {
+		name string
+		data [][]string
+	}{
+		{"too few columns", [][]string{{"1"}}},
+		{"too many columns", [][]string{{"1"}, {"2"}, {"3"}}},
+		{"columns differ in length", [][]string{{"1", "3"}, {"2"}}},
+		{"nil cells for named columns", nil},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: New should panic", tc.name)
+				}
+			}()
+			New("x", []string{"a", "b"}, tc.data)
+		}()
+	}
 }
 
 func TestFromRowsPadding(t *testing.T) {
@@ -60,8 +70,8 @@ func TestFromRowsPadding(t *testing.T) {
 		{"1"},
 		{"1", "2", "3", "4"},
 	})
-	if tb.Data[1][0] != "" || tb.Data[2][1] != "3" {
-		t.Errorf("padding/truncation wrong: %+v", tb.Data)
+	if tb.Value(1, 0) != "" || tb.Value(2, 1) != "3" {
+		t.Errorf("padding/truncation wrong: %+v", tb.Rows())
 	}
 }
 
@@ -89,7 +99,7 @@ func TestProfileNulls(t *testing.T) {
 }
 
 func TestEmptyProfile(t *testing.T) {
-	tb := New("x", []string{"a"})
+	tb := New("x", []string{"a"}, [][]string{nil})
 	p := tb.Profile(0)
 	if p.NullRatio() != 0 || p.Uniqueness() != 0 || p.IsKey() {
 		t.Errorf("empty profile = %+v", p)
@@ -102,17 +112,8 @@ func TestProject(t *testing.T) {
 	if p.NumCols() != 2 || p.Cols[0] != "province" || p.Cols[1] != "id" {
 		t.Errorf("Project cols = %v", p.Cols)
 	}
-	if p.Data[0][0] != "ON" || p.Data[1][3] != "4" {
+	if p.Value(0, 0) != "ON" || p.Value(1, 3) != "4" {
 		t.Errorf("Project data wrong")
-	}
-}
-
-func TestClone(t *testing.T) {
-	tb := sample()
-	c := tb.Clone()
-	c.Data[0][0] = "changed"
-	if tb.Data[0][0] == "changed" {
-		t.Error("Clone shares data")
 	}
 }
 
@@ -146,7 +147,7 @@ func TestDistinctCount(t *testing.T) {
 	if got := tb.DistinctCount(nil); got != 1 {
 		t.Errorf("distinct(empty projection) = %d", got)
 	}
-	empty := New("e", []string{"a"})
+	empty := New("e", []string{"a"}, [][]string{nil})
 	if got := empty.DistinctCount(nil); got != 0 {
 		t.Errorf("distinct on empty table = %d", got)
 	}
@@ -198,17 +199,6 @@ func TestHashValueStable(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestInvalidateProfiles(t *testing.T) {
-	tb := sample()
-	p1 := tb.Profile(0)
-	tb.Data[0][0] = "99"
-	tb.InvalidateProfiles()
-	p2 := tb.Profile(0)
-	if p1 == p2 {
-		t.Error("InvalidateProfiles did not drop cache")
 	}
 }
 

@@ -110,11 +110,11 @@ func TestFindFuzzyGainOverExact(t *testing.T) {
 		if y == 3 {
 			cols = []string{"Year", "council_name", "amount"}
 		}
-		tb := table.New(fmt.Sprintf("spend-%d.csv", 2018+y), cols)
+		var rows [][]string
 		for r := 0; r < 12; r++ {
-			tb.AppendRow([]string{strconv.Itoa(2018 + y), fmt.Sprintf("Council %d", r), strconv.Itoa(100 + r)})
+			rows = append(rows, []string{strconv.Itoa(2018 + y), fmt.Sprintf("Council %d", r), strconv.Itoa(100 + r)})
 		}
-		tables = append(tables, tb)
+		tables = append(tables, table.FromRows(fmt.Sprintf("spend-%d.csv", 2018+y), cols, rows))
 	}
 	exact := Find(tables)
 	if exact.UnionableTables() != 3 {
@@ -138,11 +138,11 @@ func BenchmarkFindFuzzy(b *testing.B) {
 		if i%3 == 0 {
 			cols = []string{"Year", "council name", "amount_total"}
 		}
-		tb := table.New(fmt.Sprintf("t%d.csv", i), cols)
+		var rows [][]string
 		for r := 0; r < 30; r++ {
-			tb.AppendRow([]string{strconv.Itoa(2000 + r%20), fmt.Sprintf("C%d", r), strconv.Itoa(r * 7)})
+			rows = append(rows, []string{strconv.Itoa(2000 + r%20), fmt.Sprintf("C%d", r), strconv.Itoa(r * 7)})
 		}
-		tables = append(tables, tb)
+		tables = append(tables, table.FromRows(fmt.Sprintf("t%d.csv", i), cols, rows))
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -112,12 +112,20 @@ func (a *Analysis) SingleDatasetGroups() int {
 // the first member supplies the column names.
 func (a *Analysis) Union(g Group) *table.Table {
 	if len(g.Tables) == 0 {
-		return table.New("union", nil)
+		return table.New("union", nil, nil)
 	}
 	first := a.Tables[g.Tables[0]]
-	out := table.New("union", first.Cols)
+	rows := 0
 	for _, ti := range g.Tables {
-		out.AppendTable(a.Tables[ti])
+		rows += a.Tables[ti].NumRows()
 	}
-	return out
+	data := make([][]string, first.NumCols())
+	for c := range data {
+		col := make([]string, 0, rows)
+		for _, ti := range g.Tables {
+			col = append(col, a.Tables[ti].Column(c)...)
+		}
+		data[c] = col
+	}
+	return table.New("union", first.Cols, data)
 }

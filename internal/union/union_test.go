@@ -9,11 +9,12 @@ import (
 )
 
 func yearValueTable(name, dataset string, startYear int) *table.Table {
-	t := table.New(name, []string{"year", "value"})
-	t.DatasetID = dataset
+	var rows [][]string
 	for i := 0; i < 5; i++ {
-		t.AppendRow([]string{strconv.Itoa(startYear + i), fmt.Sprintf("%d.5", i)})
+		rows = append(rows, []string{strconv.Itoa(startYear + i), fmt.Sprintf("%d.5", i)})
 	}
+	t := table.FromRows(name, []string{"year", "value"}, rows)
+	t.DatasetID = dataset
 	return t
 }
 
@@ -88,8 +89,8 @@ func TestUnionConcatenates(t *testing.T) {
 	if u.NumRows() != 10 || u.NumCols() != 2 {
 		t.Errorf("union shape = %d×%d", u.NumCols(), u.NumRows())
 	}
-	if u.Data[0][0] != "2010" || u.Data[0][5] != "2015" {
-		t.Errorf("union order wrong: %v", u.Data[0])
+	if u.Value(0, 0) != "2010" || u.Value(0, 5) != "2015" {
+		t.Errorf("union order wrong: %v", u.Column(0))
 	}
 	if got := a.Union(Group{}); got.NumRows() != 0 {
 		t.Error("empty group union should be empty")
@@ -98,8 +99,8 @@ func TestUnionConcatenates(t *testing.T) {
 
 func TestEmptyTablesIgnored(t *testing.T) {
 	corpus := []*table.Table{
-		table.New("empty1.csv", nil),
-		table.New("empty2.csv", nil),
+		table.New("empty1.csv", nil, nil),
+		table.New("empty2.csv", nil, nil),
 	}
 	a := Find(corpus)
 	if len(a.Groups) != 0 || a.UniqueSchemas != 0 {
