@@ -554,7 +554,7 @@ func BenchmarkExtensionApproximateFDs(b *testing.B) {
 func BenchmarkExtensionTopKSearch(b *testing.B) {
 	us := benchCorpora()[3]
 	tables := us.Tables()
-	eng := search.New(tables, search.MinUniqueDefault)
+	eng := search.New(tables, search.Options{})
 	q := tables[0]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

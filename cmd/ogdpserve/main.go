@@ -13,7 +13,7 @@
 //
 //	/join?table=T&col=C&k=N     top-k joinable columns (JOSIE semantics)
 //	/union?table=T&k=N          unionable tables, ranked
-//	/search?table=T&k=N         ranked integration hypotheses (LSH-accelerated)
+//	/search?table=T&k=N         ranked integration hypotheses (exact postings scan)
 //	/profile?table=T            per-column profile
 //	/fd?table=T&lhs=N           minimal functional dependencies
 //	/tables                     corpus inventory (JSON)

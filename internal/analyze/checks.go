@@ -32,9 +32,12 @@ func CheckByName(name string) *Check {
 }
 
 // studyPackages are the packages whose outputs feed the paper's
-// tables directly. The determinism contract — byte-identical results
-// for any worker count — binds these; cmd/ and the acquisition/report
-// layers may read the wall clock for operator-facing timing.
+// tables directly, plus the query layers whose answers are cached by
+// corpus content hash (search, rank, query): a /search body must be
+// byte-identical to be cacheable. The determinism contract —
+// byte-identical results for any worker count — binds these; cmd/ and
+// the acquisition/report layers may read the wall clock for
+// operator-facing timing.
 var studyPackages = map[string]bool{
 	"ogdp/internal/core":     true,
 	"ogdp/internal/join":     true,
@@ -46,6 +49,9 @@ var studyPackages = map[string]bool{
 	"ogdp/internal/stats":    true,
 	"ogdp/internal/classify": true,
 	"ogdp/internal/minhash":  true,
+	"ogdp/internal/search":   true,
+	"ogdp/internal/rank":     true,
+	"ogdp/internal/query":    true,
 	// obs records into the deterministic snapshot; all wall time it
 	// handles must flow in through injected clocks, never time.Now.
 	"ogdp/internal/obs": true,

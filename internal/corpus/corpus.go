@@ -78,37 +78,6 @@ type Source interface {
 	DatasetMetas() []Dataset
 }
 
-// ColumnSource is an optional capability of a Source: column-level
-// access to the corpus's dictionary encodings, so consumers that run
-// entirely on encoded columns (content hashing, index building, join
-// search) never touch table rows — for mmap-backed corpora that keeps
-// the row data unmaterialized. Discovered by type assertion, like the
-// other optional capabilities; ColumnEncodings falls back to the
-// table's own lazy encoder for sources without it.
-type ColumnSource interface {
-	// ColumnEncoding returns the dictionary encoding of column c of
-	// the table at index ti (TableMetas order).
-	ColumnEncoding(ti, c int) *table.Encoding
-}
-
-// ColumnEncodings returns the encodings of every column of the table
-// at index ti, through the ColumnSource capability when s has it and
-// the table's own lazy encoder otherwise.
-func ColumnEncodings(s Source, ti int) []*table.Encoding {
-	t := s.TableMetas()[ti].Table
-	out := make([]*table.Encoding, t.NumCols())
-	if cs, ok := s.(ColumnSource); ok {
-		for c := range out {
-			out[c] = cs.ColumnEncoding(ti, c)
-		}
-		return out
-	}
-	for c := range out {
-		out[c] = t.Encoding(c)
-	}
-	return out
-}
-
 // Tables projects a source to its bare tables, in TableMetas order;
 // analysis indices line up with TableMetas indices.
 func Tables(s Source) []*table.Table {

@@ -49,12 +49,6 @@ func (c *Corpus) TableMetas() []corpus.TableMeta { return c.Metas }
 // DatasetMetas implements corpus.Source.
 func (c *Corpus) DatasetMetas() []corpus.Dataset { return c.Datasets }
 
-// ColumnEncoding implements corpus.ColumnSource: column-level access
-// to the loaded tables without materializing rows.
-func (c *Corpus) ColumnEncoding(ti, col int) *table.Encoding {
-	return c.Tables[ti].Encoding(col)
-}
-
 // ByName returns the index of the table with the given file name, or
 // -1.
 func (c *Corpus) ByName(name string) int {

@@ -3,7 +3,6 @@ package gen
 import (
 	"ogdp/internal/ckan"
 	"ogdp/internal/corpus"
-	"ogdp/internal/table"
 )
 
 // PortalID implements corpus.Source.
@@ -43,13 +42,6 @@ func (c *Corpus) DatasetMetas() []corpus.Dataset {
 		}
 	}
 	return out
-}
-
-// ColumnEncoding implements corpus.ColumnSource: column-level access
-// to the corpus without materializing rows. For corpora loaded from
-// colstore files the encodings alias the read-only mapping.
-func (c *Corpus) ColumnEncoding(ti, col int) *table.Encoding {
-	return c.Metas[ti].Table.Encoding(col)
 }
 
 // ServablePortal is the optional funnel capability core looks for: a

@@ -73,12 +73,6 @@ type Index struct {
 	bands, rows int
 	sigs        []Signature
 	tables      map[uint64][]int // band-hash -> signature ids
-
-	// removed tombstones ids deleted by Remove. Dead ids stay in the
-	// band tables (their lists are shared and ascending; splicing every
-	// list would cost a full scan) and are filtered at read time; ids
-	// are never reused, so Add after Remove keeps ids stable.
-	removed map[int]struct{}
 }
 
 // NewIndex creates an LSH index. bands*rows must not exceed the
@@ -88,8 +82,7 @@ func NewIndex(bands, rows int) *Index {
 }
 
 // Add inserts a signature and returns its id. Ids are assigned
-// sequentially and never reused, so an index maintained incrementally
-// (Add/Remove) keeps every surviving id stable.
+// sequentially.
 func (ix *Index) Add(sig Signature) int {
 	id := len(ix.sigs)
 	ix.sigs = append(ix.sigs, sig)
@@ -97,26 +90,6 @@ func (ix *Index) Add(sig Signature) int {
 		ix.tables[ix.bandHash(sig, b)] = append(ix.tables[ix.bandHash(sig, b)], id)
 	}
 	return id
-}
-
-// Remove deletes an indexed signature: the id no longer appears in
-// Candidates, Query, or AllPairs results. Removing an unknown id is a
-// no-op.
-func (ix *Index) Remove(id int) {
-	if id < 0 || id >= len(ix.sigs) {
-		return
-	}
-	if ix.removed == nil {
-		ix.removed = make(map[int]struct{})
-	}
-	ix.removed[id] = struct{}{}
-	ix.sigs[id] = nil // the signature itself is dead weight now
-}
-
-// alive reports whether an id is still indexed.
-func (ix *Index) alive(id int) bool {
-	_, dead := ix.removed[id]
-	return !dead
 }
 
 func (ix *Index) bandHash(sig Signature, band int) uint64 {
@@ -129,31 +102,6 @@ func (ix *Index) bandHash(sig Signature, band int) uint64 {
 		h *= prime64
 	}
 	return h
-}
-
-// Candidates returns the ids of indexed signatures that collide with
-// sig in at least one band, in ascending id order, without computing
-// similarity estimates. This is the raw LSH candidate set: the caller
-// owns verification (exact overlap, estimate filtering), which is how
-// the ranked search engine uses banding — candidates are generated
-// here in sublinear time and verified against the true value sets
-// afterwards.
-func (ix *Index) Candidates(sig Signature) []int {
-	seen := map[int]struct{}{}
-	var out []int
-	for b := 0; b < ix.bands; b++ {
-		for _, id := range ix.tables[ix.bandHash(sig, b)] {
-			if _, ok := seen[id]; ok {
-				continue
-			}
-			seen[id] = struct{}{}
-			if ix.alive(id) {
-				out = append(out, id)
-			}
-		}
-	}
-	sort.Ints(out)
-	return out
 }
 
 // Candidate is a query result.
@@ -175,9 +123,6 @@ func (ix *Index) Query(sig Signature, minSim float64) []Candidate {
 				continue
 			}
 			seen[id] = struct{}{}
-			if !ix.alive(id) {
-				continue
-			}
 			est := Similarity(sig, ix.sigs[id])
 			if est >= minSim {
 				out = append(out, Candidate{ID: id, Estimate: est})
@@ -206,7 +151,7 @@ func (ix *Index) AllPairs(minSim float64) [][2]int {
 		for i := 0; i < len(ids); i++ {
 			for j := i + 1; j < len(ids); j++ {
 				a, b := ids[i], ids[j]
-				if a == b || !ix.alive(a) || !ix.alive(b) {
+				if a == b {
 					continue
 				}
 				if b < a {

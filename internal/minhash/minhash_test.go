@@ -246,55 +246,3 @@ func BenchmarkQuery(b *testing.B) {
 		ix.Query(probe, 0.8)
 	}
 }
-
-// TestCandidatesMatchQueryIDs pins the raw candidate set: Candidates
-// must return exactly the ids Query would consider (minSim 0), in
-// ascending order, without similarity filtering.
-func TestCandidatesMatchQueryIDs(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	ix := NewIndex(16, 8)
-	var sigs []Signature
-	for i := 0; i < 40; i++ {
-		a, _ := randomSets(rng, 60, 0)
-		sig := sketchSet(a, 128)
-		ix.Add(sig)
-		sigs = append(sigs, sig)
-	}
-	for i, sig := range sigs {
-		got := ix.Candidates(sig)
-		want := map[int]bool{}
-		for _, c := range ix.Query(sig, 0) {
-			want[c.ID] = true
-		}
-		if len(got) != len(want) {
-			t.Fatalf("sig %d: Candidates = %v, Query ids = %v", i, got, want)
-		}
-		for j, id := range got {
-			if !want[id] {
-				t.Errorf("sig %d: candidate %d not in Query results", i, id)
-			}
-			if j > 0 && got[j-1] >= id {
-				t.Errorf("sig %d: candidates not strictly ascending: %v", i, got)
-			}
-		}
-	}
-}
-
-// TestCandidatesRecallIdentical pins that an indexed signature always
-// collides with itself (every band agrees).
-func TestCandidatesRecallIdentical(t *testing.T) {
-	a := setOf("x", "y", "z", "w")
-	ix := NewIndex(16, 8)
-	sig := sketchSet(a, 128)
-	id := ix.Add(sig)
-	got := ix.Candidates(sig)
-	found := false
-	for _, c := range got {
-		if c == id {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("identical signature not among candidates: %v", got)
-	}
-}

@@ -63,6 +63,29 @@ func TestCompressedSizeMatchesFreshWriter(t *testing.T) {
 	}
 }
 
+// TestCompressedSizeKeepsEncodedTables pins that Table 1's size of an
+// encoding-backed table (a colstore-loaded corpus) equals that of its
+// cell-backed twin, below and above the sampling cutoff, without
+// materializing the table's cells.
+func TestCompressedSizeKeepsEncodedTables(t *testing.T) {
+	for _, src := range []*table.Table{varied("small.csv", 300), varied("large.csv", 3*sampleRows+123)} {
+		encs := make([]*table.Encoding, src.NumCols())
+		for c := range encs {
+			encs[c] = src.Encoding(c)
+		}
+		ext, err := table.FromEncodings(src.Name, src.Cols, encs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := CompressedSize(ext), CompressedSize(src); got != want {
+			t.Errorf("%s: encoded CompressedSize = %d, cell-backed %d", src.Name, got, want)
+		}
+		if !ext.Encoded() {
+			t.Errorf("%s: CompressedSize materialized the cells", src.Name)
+		}
+	}
+}
+
 // TestCompressedSizeRepeatable checks that a pooled writer carries no
 // state from one table into the next, sequentially or concurrently.
 func TestCompressedSizeRepeatable(t *testing.T) {

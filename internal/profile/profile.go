@@ -143,34 +143,36 @@ func (n *byteCounter) Write(p []byte) (int, error) {
 // serialization. The corpus does not keep raw bytes, so the body is
 // rebuilt from the table; tables over sampleRows rows are compressed
 // on that prefix and the size extrapolated linearly. The result is
-// never 0, since a gzip stream has a header. Safe for concurrent use.
+// never 0, since a gzip stream has a header. Cells are read through
+// Value, so an encoding-backed table stays unmaterialized. Safe for
+// concurrent use.
 func CompressedSize(t *table.Table) int64 {
 	n := t.NumRows()
-	sample := t
+	rows := n
 	frac := 1.0
 	if n > sampleRows {
-		sample = t.PrefixShared(sampleRows)
+		rows = sampleRows
 		frac = float64(n) / float64(sampleRows)
 	}
 	var size byteCounter
 	zw := gzipWriters.Get().(*gzip.Writer)
 	zw.Reset(&size)
-	writeCSV(zw, sample)
+	writeCSV(zw, t, rows)
 	zw.Close()
 	gzipWriters.Put(zw)
 	return int64(float64(size) * frac)
 }
 
-// writeCSV emits a minimal CSV: values are joined by commas and rows
-// end in newlines, with no quoting or escaping. A value holding a comma
-// or newline is written as is, which is close enough for a size
-// estimate.
-func writeCSV(w io.Writer, t *table.Table) {
+// writeCSV emits a minimal CSV of the header and the first rows rows:
+// values are joined by commas and rows end in newlines, with no
+// quoting or escaping. A value holding a comma or newline is written
+// as is, which is close enough for a size estimate.
+func writeCSV(w io.Writer, t *table.Table, rows int) {
 	row := make([]byte, 0, 256)
 	row = appendRow(row[:0], t.Cols)
 	w.Write(row)
 	vals := make([]string, t.NumCols())
-	for r := 0; r < t.NumRows(); r++ {
+	for r := 0; r < rows; r++ {
 		for c := range vals {
 			vals[c] = t.Value(c, r)
 		}

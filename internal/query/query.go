@@ -148,13 +148,12 @@ func New(src corpus.Source, opts Options) *Service {
 			s.tables[i].Profiles()
 		}))
 	s.cats = datasetCategories(src)
-	s.eng = search.NewWithOptions(s.tables, search.Options{
-		MinUnique: search.MinUniqueDefault,
-		Meta:      searchMetas(src, s.cats),
-		Registry:  opts.Registry,
+	s.eng = search.New(s.tables, search.Options{
+		Meta:     searchMetas(src, s.cats),
+		Registry: opts.Registry,
 	})
 	s.ua = union.Find(s.tables)
-	s.hash = contentHash(src)
+	s.hash = contentHash(src.PortalID(), s.tables)
 	return s
 }
 
@@ -190,15 +189,12 @@ func searchMetas(src corpus.Source, cat map[string]string) []search.TableMeta {
 // order-independent and incrementally patchable: ApplyDelta XORs out
 // the terms of removed revisions and XORs in their replacements, and
 // lands on exactly the hash a from-scratch build over the patched
-// corpus computes. Column encodings are read through the source's
-// ColumnSource capability when it has one, so hashing an mmap-backed
-// corpus touches no row data.
-func contentHash(src corpus.Source) uint64 {
-	h := mix64(strHash(src.PortalID()))
-	metas := src.TableMetas()
-	for i := range metas {
-		t := metas[i].Table
-		h ^= tableTerm(t.Name, t.Cols, corpus.ColumnEncodings(src, i))
+// corpus computes. Only the column encodings are read, so hashing an
+// mmap-backed corpus touches no row data.
+func contentHash(portalID string, tables []*table.Table) uint64 {
+	h := mix64(strHash(portalID))
+	for _, t := range tables {
+		h ^= tableTermOf(t)
 	}
 	return h
 }

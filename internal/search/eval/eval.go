@@ -9,8 +9,7 @@
 // standard ranked-retrieval metrics — precision@k, recall@k, NDCG@k —
 // macro-averaged over the query tables that have at least one
 // relevant partner, plus the engine's candidate/verification work
-// counters, so quality and work can be compared across candidate
-// generation settings (exact scan vs LSH band configurations).
+// counters.
 package eval
 
 import (
@@ -56,9 +55,6 @@ func SearchMetas(c *gen.Corpus) []search.TableMeta {
 // Result is one evaluation run: quality metrics macro-averaged over
 // the evaluable queries, plus the engine's work counters.
 type Result struct {
-	// Path is the candidate-generation strategy the engine used
-	// ("exact" or "lsh").
-	Path string `json:"path"`
 	// K is the ranking depth evaluated.
 	K int `json:"k"`
 	// Tables is the corpus size; Queries counts the query tables with
@@ -79,9 +75,10 @@ type Result struct {
 }
 
 // Evaluate ranks every corpus table against the rest of the corpus
-// under opts and scores the rankings against the grades matrix (from
-// Grades). Queries fan out over the worker pool; results are
-// deterministic for any worker count.
+// under opts (nil Meta selects SearchMetas(c)) and scores the
+// rankings against the grades matrix (from Grades). Queries fan out
+// over the worker pool; results are deterministic for any worker
+// count.
 func Evaluate(c *gen.Corpus, grades [][]int, opts search.Options, k, workers int) Result {
 	if k <= 0 {
 		k = DefaultK
@@ -90,7 +87,7 @@ func Evaluate(c *gen.Corpus, grades [][]int, opts search.Options, k, workers int
 	if opts.Meta == nil {
 		opts.Meta = SearchMetas(c)
 	}
-	eng := search.NewWithOptions(tables, opts)
+	eng := search.New(tables, opts)
 
 	type perQuery struct {
 		evaluable bool
@@ -121,7 +118,6 @@ func Evaluate(c *gen.Corpus, grades [][]int, opts search.Options, k, workers int
 		}))
 
 	res := Result{
-		Path:           eng.Path(),
 		K:              k,
 		Tables:         len(tables),
 		IndexedColumns: eng.NumIndexed(),

@@ -1,20 +1,16 @@
 package search
 
-import (
-	"ogdp/internal/minhash"
-	"ogdp/internal/table"
-)
+import "ogdp/internal/table"
 
 // Incremental index maintenance. A corpus snapshot rarely changes
 // wholesale: the ingest path observes a handful of added, updated, and
 // deleted tables and patches the engine in place instead of rebuilding
-// the postings and signatures for every unchanged column. The
-// operations preserve the engine's determinism contract:
+// the postings for every unchanged column. The operations preserve the
+// engine's determinism contract:
 //
 //   - Column ids grow monotonically and are never reused, so posting
 //     lists stay in ascending id order (removal splices, insertion
-//     appends fresh maximal ids) and the LSH index — whose ids are
-//     assigned by the same appends — stays 1:1 with column ids.
+//     appends fresh maximal ids).
 //   - A removed table's slot is replaced by an empty placeholder table
 //     rather than compacted away, so surviving table indices (the
 //     tie-break key of every ranked result order) keep their relative
@@ -28,9 +24,7 @@ import (
 // callers quiesce the engine (or swap a fresh Service) around a patch.
 
 // indexTableColumns runs the build-loop gates over every column of
-// tables[ti], appending eligible ones to the index — and to the LSH
-// index when banding is active, keeping signature ids aligned with
-// column ids.
+// tables[ti], appending eligible ones to the index.
 func (e *Engine) indexTableColumns(ti int) {
 	t := e.tables[ti]
 	for ci := range t.Cols {
@@ -41,7 +35,7 @@ func (e *Engine) indexTableColumns(ti int) {
 			e.skips.Empty++
 			continue
 		}
-		if e.minUnique > 0 && p.Distinct < e.minUnique {
+		if p.Distinct < MinUniqueDefault {
 			e.skips.MinUnique++
 			continue
 		}
@@ -54,15 +48,12 @@ func (e *Engine) indexTableColumns(ti int) {
 		for _, h := range p.ValueHashes() {
 			e.postings[h] = append(e.postings[h], id)
 		}
-		if e.lsh != nil {
-			e.lsh.Add(minhash.Sketch(p.ValueHashes(), e.sigSize))
-		}
 	}
 }
 
 // unindex removes one indexed column: its id is spliced out of every
-// posting list it appears in (preserving ascending order), its profile
-// slot is tombstoned, and its LSH signature is retired.
+// posting list it appears in (preserving ascending order) and its
+// profile slot is tombstoned.
 func (e *Engine) unindex(id int32) {
 	p := e.profiles[id]
 	for _, h := range p.ValueHashes() {
@@ -81,13 +72,10 @@ func (e *Engine) unindex(id int32) {
 	}
 	e.profiles[id] = nil
 	e.distinct[id] = 0
-	if e.lsh != nil {
-		e.lsh.Remove(int(id))
-	}
 }
 
 // RemoveTable deletes the table at index ti from the engine: its
-// columns leave the postings and LSH index, its skip-ledger
+// columns leave the postings, its skip-ledger
 // contributions are reverted, and the slot is replaced by an empty
 // placeholder (same name, no columns) so surviving table indices are
 // undisturbed. Removing an already-removed slot is a no-op.
@@ -97,7 +85,7 @@ func (e *Engine) RemoveTable(ti int) {
 		p := old.Profile(ci)
 		if p.Distinct == 0 {
 			e.skips.Empty--
-		} else if e.minUnique > 0 && p.Distinct < e.minUnique {
+		} else if p.Distinct < MinUniqueDefault {
 			e.skips.MinUnique--
 		}
 	}
@@ -114,8 +102,7 @@ func (e *Engine) RemoveTable(ti int) {
 
 // AddTable appends a table to the engine and indexes its eligible
 // columns, returning the new table index. The new columns receive
-// fresh maximal ids, so every existing posting list and signature is
-// untouched.
+// fresh maximal ids, so every existing posting list is untouched.
 func (e *Engine) AddTable(t *table.Table, meta TableMeta) int {
 	ti := len(e.tables)
 	e.tables = append(e.tables, t)

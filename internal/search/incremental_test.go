@@ -51,61 +51,41 @@ func sameResults(t *testing.T, patched, rebuilt *Engine, tables []*table.Table) 
 
 // TestIncrementalMatchesRebuild patches an engine through one
 // add + update + delete round and checks every query surface against
-// an engine built from scratch over the patched table set, on both
-// candidate paths (exact postings scan and LSH banding).
+// an engine built from scratch over the patched table set.
 func TestIncrementalMatchesRebuild(t *testing.T) {
-	for _, cutoff := range []int{DefaultExactCutoff, 1} {
-		name := "exact"
-		if cutoff == 1 {
-			name = "lsh"
-		}
-		t.Run(name, func(t *testing.T) {
-			build := func(tables []*table.Table) *Engine {
-				return NewWithOptions(tables, Options{
-					MinUnique:   MinUniqueDefault,
-					ExactCutoff: cutoff,
-					Meta: []TableMeta{
-						{DatasetID: "d0", Category: "transport"},
-						{DatasetID: "d1", Category: "transport"},
-						{DatasetID: "d2", Category: "health"},
-					}[:min(3, len(tables))],
-				})
-			}
-			initial := []*table.Table{
-				mkOverlap("a.csv", 1, 30),
-				mkOverlap("b.csv", 10, 40),
-				mkOverlap("c.csv", 20, 60),
-			}
-			e := build(initial)
-
-			// Delete b, update c to a new value range, add d.
-			e.RemoveTable(1)
-			updatedC := mkOverlap("c.csv", 25, 80)
-			e.UpdateTable(2, updatedC, TableMeta{DatasetID: "d2", Category: "health"})
-			added := mkOverlap("d.csv", 1, 50)
-			if ti := e.AddTable(added, TableMeta{DatasetID: "d3", Category: "transport"}); ti != 3 {
-				t.Fatalf("AddTable slot = %d, want 3", ti)
-			}
-
-			patchedTables := []*table.Table{
-				initial[0],
-				table.New("b.csv", nil, nil), // deleted placeholder
-				updatedC,
-				added,
-			}
-			rebuilt := NewWithOptions(patchedTables, Options{
-				MinUnique:   MinUniqueDefault,
-				ExactCutoff: cutoff,
-				Meta: []TableMeta{
-					{DatasetID: "d0", Category: "transport"},
-					{},
-					{DatasetID: "d2", Category: "health"},
-					{DatasetID: "d3", Category: "transport"},
-				},
-			})
-			sameResults(t, e, rebuilt, patchedTables)
-		})
+	initial := []*table.Table{
+		mkOverlap("a.csv", 1, 30),
+		mkOverlap("b.csv", 10, 40),
+		mkOverlap("c.csv", 20, 60),
 	}
+	e := New(initial, Options{Meta: []TableMeta{
+		{DatasetID: "d0", Category: "transport"},
+		{DatasetID: "d1", Category: "transport"},
+		{DatasetID: "d2", Category: "health"},
+	}})
+
+	// Delete b, update c to a new value range, add d.
+	e.RemoveTable(1)
+	updatedC := mkOverlap("c.csv", 25, 80)
+	e.UpdateTable(2, updatedC, TableMeta{DatasetID: "d2", Category: "health"})
+	added := mkOverlap("d.csv", 1, 50)
+	if ti := e.AddTable(added, TableMeta{DatasetID: "d3", Category: "transport"}); ti != 3 {
+		t.Fatalf("AddTable slot = %d, want 3", ti)
+	}
+
+	patchedTables := []*table.Table{
+		initial[0],
+		table.New("b.csv", nil, nil), // deleted placeholder
+		updatedC,
+		added,
+	}
+	rebuilt := New(patchedTables, Options{Meta: []TableMeta{
+		{DatasetID: "d0", Category: "transport"},
+		{},
+		{DatasetID: "d2", Category: "health"},
+		{DatasetID: "d3", Category: "transport"},
+	}})
+	sameResults(t, e, rebuilt, patchedTables)
 }
 
 // TestRemoveTableRevertsSkips pins the skip-ledger bookkeeping: a
@@ -119,8 +99,7 @@ func TestRemoveTableRevertsSkips(t *testing.T) {
 	few := table.FromRows("few.csv", []string{"id", "empty"}, fewRows)
 	// big.csv: id indexed, constant payload below the bar; few.csv: id
 	// below the bar, empty column with no values.
-	e := NewWithOptions([]*table.Table{mkOverlap("big.csv", 1, 30), few},
-		Options{MinUnique: MinUniqueDefault})
+	e := New([]*table.Table{mkOverlap("big.csv", 1, 30), few}, Options{})
 	if e.Skips() != (SkipStats{MinUnique: 2, Empty: 1}) {
 		t.Fatalf("initial skips = %+v", e.Skips())
 	}

@@ -5,39 +5,17 @@ import (
 	"sync/atomic"
 
 	"ogdp/internal/classify"
-	"ogdp/internal/minhash"
 	"ogdp/internal/normalize"
 	"ogdp/internal/obs"
 	"ogdp/internal/table"
 )
 
-// Ranked-retrieval defaults. The band/row setting is recall-safe: with
-// 64 bands of 2 rows over a 128-permutation signature, a candidate
-// pair of Jaccard similarity s survives banding with probability
-// 1-(1-s²)⁶⁴ — above 99.8% at s ≥ 0.3, which is why the ranked output
-// stays byte-identical to the exhaustive scan on the study corpora
-// (pinned by TestLSHAgreesWithExactOnStudyCorpora) while verifying far
-// fewer candidates on large ones.
-const (
-	// DefaultBands and DefaultRows are the recall-safe LSH banding
-	// parameters.
-	DefaultBands = 64
-	DefaultRows  = 2
-	// DefaultExactCutoff is the indexed-column count below which
-	// candidate generation keeps the exact postings scan: under a few
-	// hundred columns the scan is already cheap, and skipping the
-	// signature build keeps small-corpus construction fast.
-	DefaultExactCutoff = 512
-	// DefaultEvidenceJaccard is the Jaccard floor below which a column
-	// pair does not count as join evidence. The floor serves two ends
-	// at once: overlap this thin is accidental-join noise (year
-	// columns, city names — the paper's R-Acc/U-Acc patterns), and it
-	// is what makes the LSH path's output identical to the exact scan —
-	// at 64×2 banding a pair at the floor is missed with probability
-	// (1-0.45²)⁶⁴ < 10⁻⁶, and ever more rarely above it, while pairs
-	// below the floor are discarded by both paths anyway.
-	DefaultEvidenceJaccard = 0.45
-)
+// DefaultEvidenceJaccard is the Jaccard floor below which a column
+// pair does not count as join evidence: overlap this thin is
+// accidental-join noise (year columns, city names — the paper's
+// R-Acc/U-Acc patterns). Rankings depend on it, since it decides which
+// pairs can carry a hypothesis.
+const DefaultEvidenceJaccard = 0.45
 
 // TableMeta carries the dataset-level metadata signals the hypothesis
 // scorer weighs, parallel to the indexed table slice. The zero value
@@ -62,67 +40,20 @@ type SkipStats struct {
 	Empty int
 }
 
-// Options configures NewWithOptions. Zero values select the package
-// defaults, so Options{} is a valid full-default configuration.
+// Options configures New; Options{} is a valid configuration.
 type Options struct {
-	// MinUnique is the distinct-value eligibility bar
-	// (MinUniqueDefault for the paper's filter; ≤ 0 indexes all
-	// non-empty columns).
-	MinUnique int
-	// Weights drive the hypothesis scorer; the zero value selects
-	// DefaultHypothesisWeights.
-	Weights HypothesisWeights
 	// Meta is optional per-table dataset metadata, parallel to the
 	// table slice; nil disables the category half of the metadata
 	// signal.
 	Meta []TableMeta
-	// SignatureSize is the MinHash signature length (default
-	// minhash.SignatureSize). Bands*Rows must not exceed it.
-	SignatureSize int
-	// Bands and Rows set the LSH banding (defaults DefaultBands,
-	// DefaultRows).
-	Bands, Rows int
-	// ExactCutoff is the indexed-column count below which ranked
-	// candidate generation uses the exact postings scan instead of LSH
-	// (default DefaultExactCutoff). Pass 1 to band every corpus, or a
-	// value larger than the corpus to force the exact path.
-	ExactCutoff int
-	// EvidenceJaccard is the Jaccard floor for join evidence (default
-	// DefaultEvidenceJaccard; pass a tiny positive value to keep all
-	// overlapping pairs).
-	EvidenceJaccard float64
 	// Registry receives index-coverage and candidate/verification
 	// counters; nil disables them.
 	Registry *obs.Registry
 }
 
-// withDefaults pins the zero-value fields.
-func (o Options) withDefaults() Options {
-	if o.Weights == (HypothesisWeights{}) {
-		o.Weights = DefaultHypothesisWeights()
-	}
-	if o.SignatureSize <= 0 {
-		o.SignatureSize = minhash.SignatureSize
-	}
-	if o.Bands <= 0 {
-		o.Bands = DefaultBands
-	}
-	if o.Rows <= 0 {
-		o.Rows = DefaultRows
-	}
-	if o.ExactCutoff <= 0 {
-		o.ExactCutoff = DefaultExactCutoff
-	}
-	if o.EvidenceJaccard <= 0 {
-		o.EvidenceJaccard = DefaultEvidenceJaccard
-	}
-	return o
-}
-
 // HypothesisWeights weights the signals of an integration hypothesis
 // (Eberius et al.: combine value overlap, schema similarity, and
-// metadata into one weighted score). The zero value is replaced by
-// DefaultHypothesisWeights.
+// metadata into one weighted score).
 type HypothesisWeights struct {
 	// Containment weights |Q ∩ C| / |Q| of the best column pair, the
 	// LSH-Ensemble metric robust to asymmetric set sizes.
@@ -145,7 +76,8 @@ type HypothesisWeights struct {
 
 // DefaultHypothesisWeights balances the signals the way the paper's
 // labeling study orders them: value evidence first (Tables 8-10),
-// then metadata locality, then schema agreement.
+// then metadata locality, then schema agreement. The scorer uses these
+// weights.
 func DefaultHypothesisWeights() HypothesisWeights {
 	return HypothesisWeights{
 		Containment: 0.35,
@@ -196,12 +128,11 @@ type Hypothesis struct {
 	Score float64
 }
 
-// engineStats accumulates candidate/verification work counters across
-// the engine's lifetime; safe for concurrent queries.
+// engineStats accumulates candidate work counters across the engine's
+// lifetime; safe for concurrent queries.
 type engineStats struct {
 	queries    atomic.Uint64
 	candidates atomic.Uint64
-	verified   atomic.Uint64
 
 	// Mirrored obs counters (nil-safe no-ops without a registry).
 	cQueries    *obs.Counter
@@ -211,39 +142,23 @@ type engineStats struct {
 
 // Stats is a snapshot of the engine's ranked-query work counters.
 type Stats struct {
-	// Path names the candidate-generation strategy: "exact" below the
-	// corpus-size cutoff, "lsh" above it.
-	Path string
 	// Queries counts ranked column lookups (one per eligible query
 	// column per RankTables call).
 	Queries uint64
-	// Candidates counts candidate columns generated (postings hits on
-	// the exact path, band collisions on the LSH path).
+	// Candidates counts candidate columns generated: the indexed
+	// columns the postings scan finds sharing a value with the query
+	// column.
 	Candidates uint64
-	// Verified counts exact-overlap computations performed. On the
-	// exact path every candidate is verified by construction; the LSH
-	// path's saving is exactly the gap between an exhaustive scan's
-	// candidate count and this.
+	// Verified counts exact-overlap computations performed. The
+	// postings scan computes every candidate's overlap as it finds it,
+	// so this equals Candidates.
 	Verified uint64
-}
-
-// Path reports the candidate-generation strategy the engine settled
-// on at build time.
-func (e *Engine) Path() string {
-	if e.lsh != nil {
-		return "lsh"
-	}
-	return "exact"
 }
 
 // Stats snapshots the engine's cumulative ranked-query work counters.
 func (e *Engine) Stats() Stats {
-	return Stats{
-		Path:       e.Path(),
-		Queries:    e.stats.queries.Load(),
-		Candidates: e.stats.candidates.Load(),
-		Verified:   e.stats.verified.Load(),
-	}
+	n := e.stats.candidates.Load()
+	return Stats{Queries: e.stats.queries.Load(), Candidates: n, Verified: n}
 }
 
 // Skips reports the index-coverage ledger: how many corpus columns the
@@ -253,7 +168,6 @@ func (e *Engine) Skips() SkipStats { return e.skips }
 // registerMetrics publishes the index-coverage counters and binds the
 // per-query work counters to the registry (all nil-safe).
 func (e *Engine) registerMetrics(reg *obs.Registry) {
-	path := e.Path()
 	reg.Counter("ogdp_search_index_columns_total",
 		"Columns indexed for ranked search.").Add(int64(len(e.columns)))
 	reg.Counter("ogdp_search_index_skipped_total",
@@ -263,22 +177,23 @@ func (e *Engine) registerMetrics(reg *obs.Registry) {
 		"Columns the search index build passed over, by reason.",
 		"reason", "no-values").Add(int64(e.skips.Empty))
 	e.stats.cQueries = reg.Counter("ogdp_search_rank_queries_total",
-		"Ranked candidate lookups, by candidate-generation path.", "path", path)
+		"Ranked candidate lookups.")
 	e.stats.cCandidates = reg.Counter("ogdp_search_rank_candidates_total",
-		"Candidate columns generated for ranked queries, by path.", "path", path)
+		"Candidate columns generated for ranked queries.")
 	e.stats.cVerified = reg.Counter("ogdp_search_rank_verified_total",
-		"Exact-overlap verifications performed for ranked queries, by path.", "path", path)
+		"Exact-overlap verifications performed for ranked queries.")
 }
 
 // note records one candidate lookup's work in the lifetime stats and
-// the mirrored obs counters.
-func (s *engineStats) note(candidates, verified int) {
+// the mirrored obs counters. The postings scan verifies each candidate
+// as it finds it, so the verified counter advances with the candidate
+// one.
+func (s *engineStats) note(candidates int) {
 	s.queries.Add(1)
 	s.candidates.Add(uint64(candidates))
-	s.verified.Add(uint64(verified))
 	s.cQueries.Inc()
 	s.cCandidates.Add(int64(candidates))
-	s.cVerified.Add(int64(verified))
+	s.cVerified.Add(int64(candidates))
 }
 
 // colOverlap pairs an indexed column id with its exact overlap against
@@ -289,36 +204,17 @@ type colOverlap struct {
 }
 
 // rankCandidates generates and verifies the candidate columns for one
-// query column: the exact postings scan below the corpus-size cutoff,
-// LSH band collisions above it with exact overlap computed only for
-// collision survivors. Results come back in ascending column-id order
-// (deterministic regardless of path), with zero-overlap survivors
-// dropped.
+// query column with the exact postings scan: every indexed column
+// sharing a value with it, with its exact overlap, in ascending
+// column-id order.
 func (e *Engine) rankCandidates(q *table.ColumnProfile, exclude int) []colOverlap {
-	if e.lsh == nil {
-		counts := e.overlaps(q, exclude)
-		out := make([]colOverlap, 0, len(counts))
-		for id, n := range counts {
-			out = append(out, colOverlap{id: id, overlap: n})
-		}
-		sort.Slice(out, func(i, j int) bool { return out[i].id < out[j].id })
-		e.stats.note(len(counts), len(counts))
-		return out
+	counts := e.overlaps(q, exclude)
+	out := make([]colOverlap, 0, len(counts))
+	for id, n := range counts {
+		out = append(out, colOverlap{id: id, overlap: n})
 	}
-	sig := minhash.Sketch(q.ValueHashes(), e.sigSize)
-	ids := e.lsh.Candidates(sig)
-	verified := 0
-	var out []colOverlap
-	for _, id := range ids {
-		if exclude >= 0 && e.columns[id].Table == exclude {
-			continue
-		}
-		verified++
-		if n := table.IntersectSize(q.ValueHashes(), e.profiles[id].ValueHashes()); n > 0 {
-			out = append(out, colOverlap{id: int32(id), overlap: n})
-		}
-	}
-	e.stats.note(len(ids), verified)
+	sort.Slice(out, func(i, j int) bool { return out[i].id < out[j].id })
+	e.stats.note(len(counts))
 	return out
 }
 
@@ -375,18 +271,20 @@ func (e *Engine) RankTablesSpan(q *table.Table, k, excludeTable int, span *obs.S
 		return nil
 	}
 	candSpan := span.Child("candidates")
-	before := Stats{Candidates: e.stats.candidates.Load(), Verified: e.stats.verified.Load()}
+	found := 0
 
 	// Stage 1: per eligible query column, generate candidates and keep
 	// the best verified pair per candidate table.
 	evidence := map[int]pairEvidence{}
-	w := e.weights
+	w := DefaultHypothesisWeights()
 	for qc := range q.Cols {
 		qp := q.Profile(qc)
-		if qp.Distinct == 0 || (e.minUnique > 0 && qp.Distinct < e.minUnique) {
+		if qp.Distinct < MinUniqueDefault {
 			continue
 		}
-		for _, co := range e.rankCandidates(qp, excludeTable) {
+		cands := e.rankCandidates(qp, excludeTable)
+		found += len(cands)
+		for _, co := range cands {
 			ref := e.columns[co.id]
 			cp := e.profiles[co.id]
 			ev := pairEvidence{
@@ -400,11 +298,8 @@ func (e *Engine) RankTablesSpan(q *table.Table, k, excludeTable int, span *obs.S
 			if union > 0 {
 				ev.jac = float64(co.overlap) / float64(union)
 			}
-			// Overlap below the evidence floor is accidental-join noise;
-			// dropping it here (on both candidate paths) is also what
-			// keeps the LSH output identical to the exact scan — see
-			// DefaultEvidenceJaccard.
-			if ev.jac < e.minEvJac {
+			// Overlap below the evidence floor is accidental-join noise.
+			if ev.jac < DefaultEvidenceJaccard {
 				continue
 			}
 			if qp.Distinct > 0 {
@@ -417,9 +312,8 @@ func (e *Engine) RankTablesSpan(q *table.Table, k, excludeTable int, span *obs.S
 			}
 		}
 	}
-	after := Stats{Candidates: e.stats.candidates.Load(), Verified: e.stats.verified.Load()}
-	candSpan.AddTasks(int(after.Candidates - before.Candidates))
-	candSpan.AddItems(int(after.Verified - before.Verified))
+	candSpan.AddTasks(found)
+	candSpan.AddItems(found)
 	candSpan.End()
 
 	// Stage 2: exact schema twins are hypotheses even without value

@@ -1,7 +1,9 @@
 package search
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"math"
 	"reflect"
 	"strconv"
@@ -37,7 +39,7 @@ func rankCorpus() []*table.Table {
 
 func TestRankTablesOrdersPlantedStructure(t *testing.T) {
 	corpus := rankCorpus()
-	e := New(corpus, MinUniqueDefault)
+	e := New(corpus, Options{})
 	hs := e.RankTables(corpus[1], 10, 1) // query: tx-2019.csv
 
 	if len(hs) < 2 {
@@ -70,8 +72,8 @@ func TestRankTablesOrdersPlantedStructure(t *testing.T) {
 
 func TestRankTablesDeterministicAcrossBuilds(t *testing.T) {
 	corpus := rankCorpus()
-	a := New(corpus, MinUniqueDefault)
-	b := NewWithOptions(corpus, Options{MinUnique: MinUniqueDefault})
+	a := New(corpus, Options{})
+	b := New(corpus, Options{})
 	for ti := range corpus {
 		ha := a.RankTables(corpus[ti], 10, ti)
 		hb := b.RankTables(corpus[ti], 10, ti)
@@ -81,61 +83,57 @@ func TestRankTablesDeterministicAcrossBuilds(t *testing.T) {
 	}
 }
 
-// TestLSHAgreesWithExactOnStudyCorpora pins the recall-safe claim:
-// at the default 64×2 banding the LSH candidate path returns the same
-// ranked hypothesis lists as the exhaustive scan on a generated study
-// corpus, while performing strictly less verification work.
-func TestLSHAgreesWithExactOnStudyCorpora(t *testing.T) {
-	if testing.Short() {
-		t.Skip("generates a corpus")
-	}
-	c := gen.Generate(gen.SG(), 0.1, 1)
-	tables := c.Tables()
-	exact := NewWithOptions(tables, Options{MinUnique: MinUniqueDefault, ExactCutoff: math.MaxInt})
-	lsh := NewWithOptions(tables, Options{MinUnique: MinUniqueDefault, ExactCutoff: 1})
-	if exact.Path() != "exact" || lsh.Path() != "lsh" {
-		t.Fatalf("paths = %s/%s, want exact/lsh", exact.Path(), lsh.Path())
-	}
-	for ti := range tables {
-		he := exact.RankTables(tables[ti], 10, ti)
-		hl := lsh.RankTables(tables[ti], 10, ti)
-		if !reflect.DeepEqual(he, hl) {
-			t.Errorf("table %d (%s): LSH ranking differs from exact:\nexact %+v\nlsh   %+v",
-				ti, tables[ti].Name, he, hl)
-		}
-	}
-	se, sl := exact.Stats(), lsh.Stats()
-	if sl.Verified >= se.Verified {
-		t.Errorf("LSH verified %d >= exact %d: banding saved no work", sl.Verified, se.Verified)
-	}
+// rankedGolden pins RankTables' output on the four study portals
+// (scale 0.1, seed 1): an FNV-64a digest over every table's top-10
+// hypotheses, every field included. The constants were captured
+// before the engine lost its LSH candidate stage, when UK (732
+// indexed columns) and US (947) ranked through banding, so they also
+// show the exact postings scan returns the same answers there.
+var rankedGolden = map[string]uint64{
+	"SG": 0x4285a06f915f5d38,
+	"CA": 0x00d5fae639508dc0,
+	"UK": 0x0d412a53083cd661,
+	"US": 0xc3a72d1571fee3c4,
 }
 
-// TestMegaCorpusLSHDoesLessWork pins the sublinearity claim on a
-// worst case for the exact path: every column shares one common value,
-// so the postings scan touches every indexed column for every query,
-// while banding only surfaces the genuinely similar ones.
-func TestMegaCorpusLSHDoesLessWork(t *testing.T) {
-	var corpus []*table.Table
-	const n = 600
-	for i := 0; i < n; i++ {
-		ids := []string{"common"} // shared by every column
-		for r := 0; r < 20; r++ {
-			ids = append(ids, fmt.Sprintf("v-%d-%d", i, r))
+func TestRankTablesGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("generates four corpora")
+	}
+	for _, prof := range gen.Profiles() {
+		c := gen.Generate(prof, 0.1, 1)
+		tables := c.Tables()
+		metas := make([]TableMeta, len(c.Metas))
+		for i, m := range c.Metas {
+			metas[i] = TableMeta{DatasetID: m.Dataset, Category: m.Category}
 		}
-		corpus = append(corpus, table.New(fmt.Sprintf("t%d.csv", i), []string{"id"}, [][]string{ids}))
-	}
-	exact := NewWithOptions(corpus, Options{ExactCutoff: math.MaxInt})
-	lsh := NewWithOptions(corpus, Options{ExactCutoff: 1})
-
-	exact.RankTables(corpus[0], 10, 0)
-	lsh.RankTables(corpus[0], 10, 0)
-
-	se, sl := exact.Stats(), lsh.Stats()
-	if se.Verified != n-1 {
-		t.Fatalf("exact path verified %d candidates, want %d (every other column)", se.Verified, n-1)
-	}
-	if sl.Verified*10 > se.Verified {
-		t.Errorf("LSH verified %d of %d: banding should prune the one-value overlaps", sl.Verified, se.Verified)
+		e := New(tables, Options{Meta: metas})
+		h := fnv.New64a()
+		var buf [8]byte
+		put := func(v uint64) {
+			binary.LittleEndian.PutUint64(buf[:], v)
+			h.Write(buf[:])
+		}
+		for ti, q := range tables {
+			hs := e.RankTables(q, 10, ti)
+			put(uint64(len(hs)))
+			for _, x := range hs {
+				for _, v := range []int{x.Table, x.QueryCol, x.CandCol, x.Overlap} {
+					put(uint64(int64(v)))
+				}
+				for _, f := range []float64{x.Containment, x.Jaccard, x.SchemaName, x.TypeCompat, x.Metadata, x.Score} {
+					put(math.Float64bits(f))
+				}
+				same := uint64(0)
+				if x.SameSchema {
+					same = 1
+				}
+				put(same)
+			}
+		}
+		if got, want := h.Sum64(), rankedGolden[prof.Name]; got != want {
+			t.Errorf("%s: ranked digest %#016x, want %#016x", prof.Name, got, want)
+		}
 	}
 }
 
@@ -153,8 +151,7 @@ func TestSkipLedger(t *testing.T) {
 	low := table.FromRows("low.csv", []string{"flag", "id"}, lowRows)
 	empty := table.FromRows("empty.csv", []string{"blank", "id"}, emptyRows)
 	reg := obs.NewRegistry()
-	e := NewWithOptions([]*table.Table{low, empty},
-		Options{MinUnique: MinUniqueDefault, Registry: reg})
+	e := New([]*table.Table{low, empty}, Options{Registry: reg})
 
 	if e.NumIndexed() != 2 {
 		t.Errorf("indexed %d columns, want the two id columns", e.NumIndexed())
@@ -175,27 +172,27 @@ func TestSkipLedger(t *testing.T) {
 }
 
 // TestRankCountersThroughRegistry pins that ranked-query work is
-// mirrored into the registry with the path label.
+// mirrored into the registry.
 func TestRankCountersThroughRegistry(t *testing.T) {
 	reg := obs.NewRegistry()
 	corpus := rankCorpus()
-	e := NewWithOptions(corpus, Options{MinUnique: MinUniqueDefault, Registry: reg})
+	e := New(corpus, Options{Registry: reg})
 	e.RankTables(corpus[1], 10, 1)
 	st := e.Stats()
 	if st.Queries == 0 || st.Verified == 0 {
 		t.Fatalf("Stats = %+v, want nonzero work", st)
 	}
-	if v := reg.Counter("ogdp_search_rank_queries_total", "", "path", "exact").Value(); uint64(v) != st.Queries {
+	if v := reg.Counter("ogdp_search_rank_queries_total", "").Value(); uint64(v) != st.Queries {
 		t.Errorf("queries counter = %d, stats %d", v, st.Queries)
 	}
-	if v := reg.Counter("ogdp_search_rank_verified_total", "", "path", "exact").Value(); uint64(v) != st.Verified {
+	if v := reg.Counter("ogdp_search_rank_verified_total", "").Value(); uint64(v) != st.Verified {
 		t.Errorf("verified counter = %d, stats %d", v, st.Verified)
 	}
 }
 
 func TestRankTablesEmptyAndBounds(t *testing.T) {
 	corpus := rankCorpus()
-	e := New(corpus, MinUniqueDefault)
+	e := New(corpus, Options{})
 	if hs := e.RankTables(corpus[1], 0, 1); hs != nil {
 		t.Errorf("k=0 returned %+v", hs)
 	}

@@ -4,7 +4,6 @@ import (
 	"sort"
 
 	"ogdp/internal/join"
-	"ogdp/internal/minhash"
 	"ogdp/internal/table"
 )
 
@@ -27,58 +26,33 @@ type Result struct {
 	Containment float64
 }
 
-// Engine is an inverted index over a corpus's eligible columns, with
-// an optional LSH candidate stage for ranked retrieval (see ranked.go).
+// Engine is an inverted index over a corpus's eligible columns: the
+// postings scan behind the join queries here and the ranked retrieval
+// in ranked.go.
 type Engine struct {
-	tables    []*table.Table
-	minUnique int
-	columns   []ColumnRef
-	distinct  []int
-	profiles  []*table.ColumnProfile // indexed-column profiles, by id
-	postings  map[uint64][]int32     // value hash -> ids into columns
+	tables   []*table.Table
+	columns  []ColumnRef
+	distinct []int
+	profiles []*table.ColumnProfile // indexed-column profiles, by id
+	postings map[uint64][]int32     // value hash -> ids into columns
 
 	// Ranked-retrieval state (ranked.go).
-	meta     []TableMeta
-	weights  HypothesisWeights
-	sigSize  int
-	minEvJac float64
-	lsh      *minhash.Index
-	skips    SkipStats
-	stats    engineStats
+	meta  []TableMeta
+	skips SkipStats
+	stats engineStats
 }
 
-// New indexes all columns of the corpus with at least minUnique
-// distinct values (pass join.DefaultMinUnique for the paper's filter;
-// minUnique ≤ 0 indexes everything).
-func New(tables []*table.Table, minUnique int) *Engine {
-	return NewWithOptions(tables, Options{MinUnique: minUnique, ExactCutoff: DefaultExactCutoff})
-}
-
-// NewWithOptions indexes the corpus under explicit ranked-retrieval
-// options; see Options for the defaults the zero value selects.
-func NewWithOptions(tables []*table.Table, opts Options) *Engine {
-	opts = opts.withDefaults()
+// New indexes every column of the corpus with at least
+// MinUniqueDefault distinct values (the paper's join-eligibility
+// filter); Options{} is a valid configuration.
+func New(tables []*table.Table, opts Options) *Engine {
 	e := &Engine{
-		tables:    tables,
-		minUnique: opts.MinUnique,
-		postings:  make(map[uint64][]int32),
-		meta:      opts.Meta,
-		weights:   opts.Weights,
-		sigSize:   opts.SignatureSize,
-		minEvJac:  opts.EvidenceJaccard,
+		tables:   tables,
+		postings: make(map[uint64][]int32),
+		meta:     opts.Meta,
 	}
 	for ti := range tables {
 		e.indexTableColumns(ti)
-	}
-	// Candidate generation goes through LSH banding only when the
-	// corpus is large enough for banding to beat the exact postings
-	// scan; small corpora keep the exact path (and skip the signature
-	// build entirely).
-	if len(e.columns) >= opts.ExactCutoff {
-		e.lsh = minhash.NewIndex(opts.Bands, opts.Rows)
-		for _, p := range e.profiles {
-			e.lsh.Add(minhash.Sketch(p.ValueHashes(), opts.SignatureSize))
-		}
 	}
 	e.registerMetrics(opts.Registry)
 	return e
@@ -207,6 +181,7 @@ func (e *Engine) UnionableFor(query *table.Table, excludeTable int) []int {
 	return out
 }
 
-// MinUniqueDefault re-exports the paper's distinct-value filter for
-// convenience.
+// MinUniqueDefault is the distinct-value bar a column must reach to be
+// indexed, or to be looked up as a ranked query column: the paper's
+// join-eligibility filter.
 const MinUniqueDefault = join.DefaultMinUnique

@@ -37,7 +37,7 @@ func queryTable() *table.Table {
 
 func TestTopKJoinable(t *testing.T) {
 	corpus := buildCorpus()
-	e := New(corpus, MinUniqueDefault)
+	e := New(corpus, Options{})
 	q := queryTable()
 
 	res := e.TopKJoinable(q, 0, 2, -1)
@@ -57,7 +57,7 @@ func TestTopKJoinable(t *testing.T) {
 
 func TestTopKOrdering(t *testing.T) {
 	corpus := buildCorpus()
-	e := New(corpus, MinUniqueDefault)
+	e := New(corpus, Options{})
 	res := e.TopKJoinable(queryTable(), 0, 10, -1)
 	for i := 1; i < len(res); i++ {
 		if res[i].Overlap > res[i-1].Overlap {
@@ -74,7 +74,7 @@ func TestTopKOrdering(t *testing.T) {
 
 func TestJoinableForThreshold(t *testing.T) {
 	corpus := buildCorpus()
-	e := New(corpus, MinUniqueDefault)
+	e := New(corpus, Options{})
 	q := queryTable()
 
 	res := e.JoinableFor(q, 0, 0.9, -1)
@@ -103,7 +103,7 @@ func TestAgreesWithJoinFind(t *testing.T) {
 	for _, p := range join.Find(corpus, join.Options{}).Pairs {
 		want[[4]int{p.T1, p.C1, p.T2, p.C2}] = true
 	}
-	e := New(corpus, MinUniqueDefault)
+	e := New(corpus, Options{})
 	got := map[[4]int]bool{}
 	for ti, tb := range corpus {
 		for _, r := range e.JoinableFor(tb, 0, join.DefaultMinJaccard, ti) {
@@ -130,19 +130,15 @@ func TestMinUniqueFilterApplied(t *testing.T) {
 		flags = append(flags, strconv.Itoa(i%2))
 	}
 	small := table.New("small.csv", []string{"flag"}, [][]string{flags})
-	e := New([]*table.Table{small}, MinUniqueDefault)
+	e := New([]*table.Table{small}, Options{})
 	if e.NumIndexed() != 0 {
 		t.Errorf("low-cardinality column indexed: %d", e.NumIndexed())
-	}
-	e2 := New([]*table.Table{small}, 0)
-	if e2.NumIndexed() != 1 {
-		t.Errorf("filter disabled but column not indexed")
 	}
 }
 
 func TestExcludeTable(t *testing.T) {
 	corpus := buildCorpus()
-	e := New(corpus, MinUniqueDefault)
+	e := New(corpus, Options{})
 	res := e.TopKJoinable(corpus[0], 0, 10, 0)
 	for _, r := range res {
 		if r.Ref.Table == 0 {
@@ -155,7 +151,7 @@ func TestUnionableFor(t *testing.T) {
 	a := table.FromRows("a.csv", []string{"year", "value"}, [][]string{{"2020", "1.5"}})
 	b := table.FromRows("b.csv", []string{"year", "value"}, [][]string{{"1999", "2.5"}})
 	c := table.FromRows("c.csv", []string{"year", "name"}, [][]string{{"2020", "x"}})
-	e := New([]*table.Table{a, b, c}, 0)
+	e := New([]*table.Table{a, b, c}, Options{})
 	got := e.UnionableFor(a, 0)
 	if len(got) != 1 || got[0] != 1 {
 		t.Errorf("UnionableFor = %v", got)
@@ -167,7 +163,7 @@ func TestUnionableFor(t *testing.T) {
 }
 
 func TestEmptyQuery(t *testing.T) {
-	e := New(buildCorpus(), MinUniqueDefault)
+	e := New(buildCorpus(), Options{})
 	empty := table.New("e.csv", []string{"id"}, [][]string{nil})
 	if res := e.TopKJoinable(empty, 0, 5, -1); res != nil {
 		t.Errorf("empty query returned %v", res)
@@ -186,7 +182,7 @@ func BenchmarkTopKJoinable(b *testing.B) {
 		}
 		corpus = append(corpus, table.FromRows(fmt.Sprintf("t%d.csv", i), []string{"id", "state"}, rows))
 	}
-	e := New(corpus, MinUniqueDefault)
+	e := New(corpus, Options{})
 	q := corpus[0]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -205,6 +201,6 @@ func BenchmarkBuildIndex(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		New(corpus, MinUniqueDefault)
+		New(corpus, Options{})
 	}
 }

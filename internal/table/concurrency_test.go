@@ -182,17 +182,17 @@ func TestProjectSharesPublishedCaches(t *testing.T) {
 	}
 }
 
-// TestViewsProfileConcurrently: a table and its Project, PrefixShared
-// and SelectRows views share cell slices (Project also shares the
-// caches published before it), and goroutines profile all of them at
-// once. Every profile must equal a cold sequential build of the same
+// TestViewsProfileConcurrently: a table and its Project and
+// SelectRows views (Project shares cell slices and the caches
+// published before it; SelectRows shares the cell strings), and
+// goroutines profile all of them at once. Every profile must equal a cold sequential build of the same
 // view; under -race this also shows the shared cells are only read.
 func TestViewsProfileConcurrently(t *testing.T) {
 	const goroutines = 8
 	views := func() []*Table {
 		tb := stressTable(5, 300)
 		tb.Profile(0) // published before projecting, so Project shares it
-		return []*Table{tb, tb.Project([]int{4, 0, 2}), tb.PrefixShared(120), tb.SelectRows([]int{5, 3, 299, 0, 3})}
+		return []*Table{tb, tb.Project([]int{4, 0, 2}), tb.SelectRows([]int{5, 3, 299, 0, 3})}
 	}
 	hot := views()
 

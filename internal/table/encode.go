@@ -287,19 +287,13 @@ func (t *Table) CanonCodes(c int) (codes []uint32, size int) {
 	return t.Encoding(c).CanonCodes()
 }
 
-// Value returns the raw cell value of column c, row r.
-func (t *Table) Value(c, r int) string { return t.data()[c][r] }
-
-// PrefixShared returns a table over the first n rows of t. Cell data
-// is shared with the receiver (no copying); the prefix table computes
-// its own profiles.
-func (t *Table) PrefixShared(n int) *Table {
-	d := t.data()
-	data := make([][]string, len(d))
-	for c := range d {
-		data[c] = d[c][:n]
+// Value returns the raw cell value of column c, row r. An
+// encoding-backed table answers from the column's dictionary without
+// materializing its cells.
+func (t *Table) Value(c, r int) string {
+	if t.ext.Load() {
+		e := t.slots[c].enc.Load()
+		return e.Dict[e.Codes[r]]
 	}
-	p := New(t.Name, t.Cols, data)
-	p.DatasetID = t.DatasetID
-	return p
+	return t.cells[c][r]
 }

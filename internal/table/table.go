@@ -8,8 +8,8 @@
 // distinct counts and duplicate removal.
 //
 // A table is immutable once constructed: New takes its cells, every
-// other constructor (FromRows, Project, SelectRows, PrefixShared,
-// FromEncodings) is built on it, and the raw cell store is unexported,
+// other constructor (FromRows, Project, SelectRows, FromEncodings) is
+// built on it, and the raw cell store is unexported,
 // so no code outside this package can write a cell after the caches
 // over it exist. Raw strings are reachable only through Value, Column,
 // Row/Rows and the column Encoding; every analysis hot path runs on
@@ -35,8 +35,8 @@
 //     goroutines and must treat them as read-only.
 //
 // Because the cells never change, a published cache never goes stale,
-// and tables may share cell slices (Project, PrefixShared) and
-// published caches (Project) with each other.
+// and tables may share cell slices and published caches (Project)
+// with each other.
 package table
 
 import (

@@ -23,8 +23,9 @@
 // index-derived rng stream and merged outputs are restored to the
 // sequential order, so results are byte-identical for every worker
 // count — raising Workers only changes wall-clock time. Tables are
-// safe to share across these analyses: column-profile caches are
-// computed under a per-table lock.
+// safe to share across these analyses: a table is immutable once
+// built, and each column's caches are built under that column's own
+// lock and published atomically, so readers never block.
 //
 // See the examples/ directory for runnable walkthroughs and
 // cmd/ogdpreport for the end-to-end reproduction of every table and
@@ -338,7 +339,7 @@ func BuildCKANPortal(c *Corpus, seed int64) *CKANPortal { return gen.BuildPortal
 // NewSearchEngine indexes a corpus for query-table discovery with the
 // paper's distinct-value filter.
 func NewSearchEngine(tables []*Table) *SearchEngine {
-	return search.New(tables, search.MinUniqueDefault)
+	return search.New(tables, search.Options{})
 }
 
 // Synthesize3NF decomposes t into third normal form (lossless and
