@@ -53,39 +53,42 @@ func sameResults(t *testing.T, patched, rebuilt *Engine, tables []*table.Table) 
 // add + update + delete round and checks every query surface against
 // an engine built from scratch over the patched table set.
 func TestIncrementalMatchesRebuild(t *testing.T) {
-	initial := []*table.Table{
-		mkOverlap("a.csv", 1, 30),
-		mkOverlap("b.csv", 10, 40),
-		mkOverlap("c.csv", 20, 60),
-	}
-	e := New(initial, Options{Meta: []TableMeta{
-		{DatasetID: "d0", Category: "transport"},
-		{DatasetID: "d1", Category: "transport"},
-		{DatasetID: "d2", Category: "health"},
-	}})
+	// "exact" names the candidate path: the exact postings scan.
+	t.Run("exact", func(t *testing.T) {
+		initial := []*table.Table{
+			mkOverlap("a.csv", 1, 30),
+			mkOverlap("b.csv", 10, 40),
+			mkOverlap("c.csv", 20, 60),
+		}
+		e := New(initial, Options{Meta: []TableMeta{
+			{DatasetID: "d0", Category: "transport"},
+			{DatasetID: "d1", Category: "transport"},
+			{DatasetID: "d2", Category: "health"},
+		}})
 
-	// Delete b, update c to a new value range, add d.
-	e.RemoveTable(1)
-	updatedC := mkOverlap("c.csv", 25, 80)
-	e.UpdateTable(2, updatedC, TableMeta{DatasetID: "d2", Category: "health"})
-	added := mkOverlap("d.csv", 1, 50)
-	if ti := e.AddTable(added, TableMeta{DatasetID: "d3", Category: "transport"}); ti != 3 {
-		t.Fatalf("AddTable slot = %d, want 3", ti)
-	}
+		// Delete b, update c to a new value range, add d.
+		e.RemoveTable(1)
+		updatedC := mkOverlap("c.csv", 25, 80)
+		e.UpdateTable(2, updatedC, TableMeta{DatasetID: "d2", Category: "health"})
+		added := mkOverlap("d.csv", 1, 50)
+		if ti := e.AddTable(added, TableMeta{DatasetID: "d3", Category: "transport"}); ti != 3 {
+			t.Fatalf("AddTable slot = %d, want 3", ti)
+		}
 
-	patchedTables := []*table.Table{
-		initial[0],
-		table.New("b.csv", nil, nil), // deleted placeholder
-		updatedC,
-		added,
-	}
-	rebuilt := New(patchedTables, Options{Meta: []TableMeta{
-		{DatasetID: "d0", Category: "transport"},
-		{},
-		{DatasetID: "d2", Category: "health"},
-		{DatasetID: "d3", Category: "transport"},
-	}})
-	sameResults(t, e, rebuilt, patchedTables)
+		patchedTables := []*table.Table{
+			initial[0],
+			table.New("b.csv", nil, nil), // deleted placeholder
+			updatedC,
+			added,
+		}
+		rebuilt := New(patchedTables, Options{Meta: []TableMeta{
+			{DatasetID: "d0", Category: "transport"},
+			{},
+			{DatasetID: "d2", Category: "health"},
+			{DatasetID: "d3", Category: "transport"},
+		}})
+		sameResults(t, e, rebuilt, patchedTables)
+	})
 }
 
 // TestRemoveTableRevertsSkips pins the skip-ledger bookkeeping: a
