@@ -1,13 +1,14 @@
 package ckan
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"net/url"
+	"sync"
 	"time"
 
 	"ogdp/internal/csvio"
@@ -273,7 +274,8 @@ func (c *Client) FetchAllContext(ctx context.Context) ([]*FetchedTable, FunnelSt
 		if err != nil {
 			return r
 		}
-		r.ft, r.wide = c.process(w.res.ID, w.res.Name, body)
+		r.ft, r.wide = c.process(w.res.ID, w.res.Name, body.Bytes())
+		putBody(body)
 		return r
 	})
 	if err != nil {
@@ -370,7 +372,7 @@ func (c *Client) process(resID, name string, body []byte) (*FetchedTable, bool) 
 	if format == sniff.FormatTSV {
 		opts.Comma = '\t'
 	}
-	t, err := csvio.ReadWith(name, bytesReader(body), opts)
+	t, err := csvio.ReadWith(name, bytes.NewReader(body), opts)
 	if err != nil {
 		if errors.Is(err, csvio.ErrTooWide) {
 			return nil, true
@@ -388,6 +390,7 @@ func (c *Client) packageList(ctx context.Context) ([]string, tally, error) {
 	if err != nil {
 		return nil, t, fmt.Errorf("ckan: package_list: %w", err)
 	}
+	defer putBody(body)
 	if status != http.StatusOK {
 		return nil, t, fmt.Errorf("ckan: package_list: status %d", status)
 	}
@@ -395,7 +398,7 @@ func (c *Client) packageList(ctx context.Context) ([]string, tally, error) {
 		Success bool     `json:"success"`
 		Result  []string `json:"result"`
 	}
-	if err := json.Unmarshal(body, &resp); err != nil {
+	if err := json.Unmarshal(body.Bytes(), &resp); err != nil {
 		return nil, t, fmt.Errorf("ckan: package_list: %w", err)
 	}
 	if !resp.Success {
@@ -410,6 +413,7 @@ func (c *Client) packageShow(ctx context.Context, id string) (*packageJSON, tall
 	if err != nil {
 		return nil, t, fmt.Errorf("ckan: package_show(%s): %w", id, err)
 	}
+	defer putBody(body)
 	if status != http.StatusOK {
 		return nil, t, fmt.Errorf("ckan: package_show(%s): status %d", id, status)
 	}
@@ -417,7 +421,7 @@ func (c *Client) packageShow(ctx context.Context, id string) (*packageJSON, tall
 		Success bool        `json:"success"`
 		Result  packageJSON `json:"result"`
 	}
-	if err := json.Unmarshal(body, &resp); err != nil {
+	if err := json.Unmarshal(body.Bytes(), &resp); err != nil {
 		return nil, t, fmt.Errorf("ckan: package_show(%s): %w", id, err)
 	}
 	if !resp.Success {
@@ -429,7 +433,8 @@ func (c *Client) packageShow(ctx context.Context, id string) (*packageJSON, tall
 // download fetches a resource URL with retries. A non-nil error is the
 // permanent failure — non-200 status (the paper's "not downloadable"
 // criterion) or exhausted transport retries — recorded in the ledger.
-func (c *Client) download(ctx context.Context, resID, resourceURL string) ([]byte, tally, error) {
+// The caller returns the body with putBody once it has parsed it.
+func (c *Client) download(ctx context.Context, resID, resourceURL string) (*bytes.Buffer, tally, error) {
 	u := resourceURL
 	if len(u) > 0 && u[0] == '/' {
 		u = c.BaseURL + u
@@ -439,6 +444,7 @@ func (c *Client) download(ctx context.Context, resID, resourceURL string) ([]byt
 		return nil, t, err
 	}
 	if status != http.StatusOK {
+		putBody(body)
 		return nil, t, fmt.Errorf("status %d", status)
 	}
 	return body, t, nil
@@ -501,7 +507,9 @@ func (c *Client) stageMetrics(stage string) stageMetrics {
 // names the pipeline stage for metric labels; key salts the backoff
 // jitter per logical request. It returns the final body and status;
 // err is non-nil only when the last attempt still failed transiently.
-func (c *Client) getWithRetry(ctx context.Context, stage, key, u string) ([]byte, int, tally, error) {
+// A returned body is pooled: the caller hands it back with putBody
+// once it is done with its bytes, and keeps no reference to them.
+func (c *Client) getWithRetry(ctx context.Context, stage, key, u string) (*bytes.Buffer, int, tally, error) {
 	base := c.backoffBase()
 	bo := parallel.Backoff{Base: base, Max: 32 * base, Seed: c.Seed}
 	retries := c.retryBudget()
@@ -519,10 +527,11 @@ func (c *Client) getWithRetry(ctx context.Context, stage, key, u string) ([]byte
 			sm.reqSeconds.ObserveDuration(c.Now().Sub(start))
 		}
 		if err == nil && status < 500 {
-			sm.bytes.Add(int64(len(body)))
-			sm.bodyBytes.Observe(float64(len(body)))
+			sm.bytes.Add(int64(body.Len()))
+			sm.bodyBytes.Observe(float64(body.Len()))
 			return body, status, t, nil
 		}
+		putBody(body)
 		kind := "transport"
 		if err == nil {
 			err = fmt.Errorf("status %d", status)
@@ -545,7 +554,25 @@ func (c *Client) getWithRetry(ctx context.Context, stage, key, u string) ([]byte
 	}
 }
 
-func (c *Client) getOnce(ctx context.Context, u string) ([]byte, int, error) {
+// bodyPool recycles response body buffers across requests, so a crawl
+// allocates its body buffers once instead of once per response.
+var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// maxPreGrow caps how far a declared Content-Length pre-grows a body
+// buffer; a larger body still reads whole, growing as it arrives.
+const maxPreGrow = 64 << 20
+
+// putBody returns a body buffer to the pool. body may be nil.
+func putBody(body *bytes.Buffer) {
+	if body != nil {
+		body.Reset()
+		bodyPool.Put(body)
+	}
+}
+
+// getOnce issues one GET and reads the whole body into a pooled buffer.
+// A body that fails mid-read is an error, so the attempt is retried.
+func (c *Client) getOnce(ctx context.Context, u string) (*bytes.Buffer, int, error) {
 	reqCtx, cancel := context.WithTimeout(ctx, c.timeout())
 	defer cancel()
 	req, err := http.NewRequestWithContext(reqCtx, http.MethodGet, u, nil)
@@ -557,8 +584,13 @@ func (c *Client) getOnce(ctx context.Context, u string) ([]byte, int, error) {
 		return nil, 0, err
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
+	body := bodyPool.Get().(*bytes.Buffer)
+	if n := resp.ContentLength; n > 0 && n <= maxPreGrow {
+		// ReadFrom asks for MinRead spare bytes before it sees EOF.
+		body.Grow(int(n) + bytes.MinRead)
+	}
+	if _, err := body.ReadFrom(resp.Body); err != nil {
+		putBody(body)
 		return nil, resp.StatusCode, fmt.Errorf("reading body: %w", err)
 	}
 	return body, resp.StatusCode, nil

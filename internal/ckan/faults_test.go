@@ -1,7 +1,9 @@
 package ckan
 
 import (
+	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -10,6 +12,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"ogdp/internal/csvio"
+	"ogdp/internal/table"
 )
 
 // fastClient returns a client tuned for fault tests: near-zero
@@ -181,6 +186,57 @@ func TestServerFaultInjectionTruncates(t *testing.T) {
 	defer resp.Body.Close()
 	if _, err := io.ReadAll(resp.Body); err == nil {
 		t.Error("reading a truncated body should fail")
+	}
+}
+
+// tablePortal serves one table-backed resource; size is its declared
+// Size (0 leaves it unknown).
+func tablePortal(tb *table.Table, size int64) *Portal {
+	return &Portal{Name: "T", Datasets: []*Dataset{{
+		ID: "ds-t", Title: "Table", Published: time.Date(2020, 1, 2, 0, 0, 0, 0, time.UTC),
+		Resources: []*Resource{{ID: "rt", Name: "t.csv", Format: "CSV", URL: "/download/rt", Table: tb, Size: size}},
+	}}}
+}
+
+// TestTruncatedTableDownloadIsRetried: a table-backed resource is cut
+// off exactly like a Body one, declaring its whole CSV length and
+// writing the first half, whether or not its Size is known. The client
+// sees an unexpected EOF and retries it until the budget runs out.
+func TestTruncatedTableDownloadIsRetried(t *testing.T) {
+	tb := table.New("t.csv", []string{"id", "city"}, [][]string{
+		{"1", "2", "3", "4", "5"},
+		{"Waterloo", "Guelph", "Kitchener, ON", "London", "Ottawa"},
+	})
+	full := csvio.Bytes(tb)
+	for _, size := range []int64{int64(len(full)), 0} {
+		s := NewServer(tablePortal(tb, size))
+		srv := httptest.NewServer(s)
+		s.InjectFaults(Faults{Download: FaultSpec{TruncateRate: 1}})
+
+		resp, err := http.Get(srv.URL + "/download/rt")
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Errorf("Size %d: reading a truncated body: %v, want unexpected EOF", size, err)
+		}
+		if resp.ContentLength != int64(len(full)) || !bytes.Equal(got, full[:len(full)/2]) {
+			t.Errorf("Size %d: Content-Length %d, read %q; want %d and the first half of %q", size, resp.ContentLength, got, len(full), full)
+		}
+
+		_, stats, err := fastClient(srv.URL, 1, 2).FetchAll()
+		srv.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats.Retries != 2 || stats.TransientFailures != 3 || len(stats.Failures) != 1 {
+			t.Fatalf("Size %d: stats %+v, want 2 retries, 3 transient failures, 1 ledger entry", size, stats)
+		}
+		if f := stats.Failures[0]; f.Attempts != 3 || !strings.Contains(f.Err, "unexpected EOF") {
+			t.Errorf("Size %d: ledger entry %+v, want 3 attempts ending in unexpected EOF", size, f)
+		}
 	}
 }
 

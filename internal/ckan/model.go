@@ -13,6 +13,8 @@ package ckan
 import (
 	"strings"
 	"time"
+
+	"ogdp/internal/table"
 )
 
 // IsCSVFormat reports whether an advertised resource format means CSV,
@@ -101,7 +103,16 @@ type Resource struct {
 	Format string
 	// URL is the download path the portal serves the resource under.
 	URL string
-	// Body is the raw file content.
+	// Table, when non-nil, is the resource's content: the server
+	// writes it as CSV (csvio.Write) straight into each download
+	// response, so the serialized file is never held in memory.
+	Table *table.Table
+	// Size is the byte length of Table's CSV serialization, declared
+	// as the download's Content-Length. Zero means unknown: the
+	// server then declares no length up front.
+	Size int64
+	// Body is the raw file content of a resource without a Table,
+	// such as a deliberately malformed file.
 	Body []byte
 	// Broken describes a deliberate publication defect, if any.
 	Broken BrokenKind

@@ -2,13 +2,17 @@ package ckan
 
 import (
 	"encoding/json"
+	"errors"
+	"io"
 	"net/http"
 	"strconv"
 	"strings"
 	"sync"
 	"time"
 
+	"ogdp/internal/csvio"
 	"ogdp/internal/parallel"
+	"ogdp/internal/table"
 )
 
 // Server exposes a Portal over the CKAN Action API v3 surface the
@@ -152,10 +156,61 @@ func (s *Server) decide(sp FaultSpec, key string) faultAction {
 	return faultNone
 }
 
+// payload is a response body: bytes in memory, or a table the server
+// serializes as CSV while it writes the response.
+type payload struct {
+	data  []byte
+	table *table.Table
+	size  int64 // byte length of table's CSV serialization; 0 if unknown
+}
+
+func bytesPayload(b []byte) payload { return payload{data: b} }
+
+// length returns the body's byte length and whether it is known
+// without serializing the table.
+func (p payload) length() (int64, bool) {
+	if p.table == nil {
+		return int64(len(p.data)), true
+	}
+	return p.size, p.size > 0
+}
+
+func (p payload) writeTo(w io.Writer) error {
+	if p.table == nil {
+		_, err := w.Write(p.data)
+		return err
+	}
+	return csvio.Write(w, p.table)
+}
+
+// errCutOff ends the write of a deliberately truncated response.
+var errCutOff = errors.New("ckan: response cut off")
+
+// prefixWriter passes on the first n bytes written to it and then
+// fails, so a truncated response stops serializing where it is cut.
+type prefixWriter struct {
+	w io.Writer
+	n int64
+}
+
+func (p *prefixWriter) Write(b []byte) (int, error) {
+	if int64(len(b)) <= p.n {
+		n, err := p.w.Write(b)
+		p.n -= int64(n)
+		return n, err
+	}
+	n, err := p.w.Write(b[:p.n])
+	p.n -= int64(n)
+	if err == nil {
+		err = errCutOff
+	}
+	return n, err
+}
+
 // deliver writes a response through the fault injector: the attempt
 // may be replaced by a 500, truncated mid-body, or delayed, per the
 // endpoint's FaultSpec.
-func (s *Server) deliver(w http.ResponseWriter, sp FaultSpec, key string, status int, contentType string, body []byte) {
+func (s *Server) deliver(w http.ResponseWriter, sp FaultSpec, key string, status int, contentType string, body payload) {
 	switch s.decide(sp, key) {
 	case fault500:
 		http.Error(w, "injected transient failure", http.StatusInternalServerError)
@@ -164,15 +219,22 @@ func (s *Server) deliver(w http.ResponseWriter, sp FaultSpec, key string, status
 		// Declaring the full length and writing half of it makes
 		// net/http drop the connection, so the client reads a
 		// truncated body (unexpected EOF).
+		n, ok := body.length()
+		if !ok {
+			n = csvio.Size(body.table)
+		}
 		w.Header().Set("Content-Type", contentType)
-		w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+		w.Header().Set("Content-Length", strconv.FormatInt(n, 10))
 		w.WriteHeader(status)
-		w.Write(body[:len(body)/2])
+		body.writeTo(&prefixWriter{w: w, n: n / 2})
 		return
 	}
 	w.Header().Set("Content-Type", contentType)
+	if n, ok := body.length(); ok {
+		w.Header().Set("Content-Length", strconv.FormatInt(n, 10))
+	}
 	w.WriteHeader(status)
-	w.Write(body)
+	body.writeTo(w)
 }
 
 func (s *Server) spec() Faults {
@@ -187,7 +249,7 @@ func (s *Server) packageList(w http.ResponseWriter, r *http.Request) {
 		ids[i] = d.ID
 	}
 	body := mustJSON(apiResponse{Success: true, Result: ids})
-	s.deliver(w, s.spec().PackageList, "package_list", http.StatusOK, "application/json", body)
+	s.deliver(w, s.spec().PackageList, "package_list", http.StatusOK, "application/json", bytesPayload(body))
 }
 
 func (s *Server) packageShow(w http.ResponseWriter, r *http.Request) {
@@ -197,7 +259,7 @@ func (s *Server) packageShow(w http.ResponseWriter, r *http.Request) {
 	d := s.portal.Dataset(id)
 	if d == nil {
 		body := mustJSON(apiResponse{Success: false, Error: "Not found"})
-		s.deliver(w, sp, key, http.StatusNotFound, "application/json", body)
+		s.deliver(w, sp, key, http.StatusNotFound, "application/json", bytesPayload(body))
 		return
 	}
 	pkg := packageJSON{
@@ -215,7 +277,7 @@ func (s *Server) packageShow(w http.ResponseWriter, r *http.Request) {
 		})
 	}
 	body := mustJSON(apiResponse{Success: true, Result: pkg})
-	s.deliver(w, sp, key, http.StatusOK, "application/json", body)
+	s.deliver(w, sp, key, http.StatusOK, "application/json", bytesPayload(body))
 }
 
 func (s *Server) download(w http.ResponseWriter, r *http.Request) {
@@ -224,30 +286,40 @@ func (s *Server) download(w http.ResponseWriter, r *http.Request) {
 	key := "download:" + id
 	res := s.portal.Resource(id)
 	if res == nil {
-		s.deliver(w, sp, key, http.StatusNotFound, "text/plain; charset=utf-8", []byte("not found\n"))
+		s.deliver(w, sp, key, http.StatusNotFound, "text/plain; charset=utf-8", bytesPayload([]byte("not found\n")))
 		return
 	}
-	status, contentType, body := res.Download()
+	status, contentType, body := res.response()
 	s.deliver(w, sp, key, status, contentType, body)
 }
 
-// Download is what the portal answers at the resource's URL: a 404 or
+// response is what the portal answers at the resource's URL: a 404 or
 // the HTML page or binary garbage of a broken resource, else the
-// resource's own bytes as CSV.
-func (r *Resource) Download() (status int, contentType string, body []byte) {
+// resource's own content as CSV.
+func (r *Resource) response() (status int, contentType string, body payload) {
 	switch r.Broken {
 	case BrokenNotFound:
-		return http.StatusNotFound, "text/plain; charset=utf-8", []byte("not found\n")
+		return http.StatusNotFound, "text/plain; charset=utf-8", bytesPayload([]byte("not found\n"))
 	case BrokenHTMLPage:
 		page := []byte("<!DOCTYPE html><html><body><h1>Resource moved</h1><p>This dataset is no longer available at this address.</p></body></html>")
-		return http.StatusOK, "text/html", page
+		return http.StatusOK, "text/html", bytesPayload(page)
 	case BrokenGarbage:
 		garbage := make([]byte, 512)
 		for i := range garbage {
 			garbage[i] = byte(i*7 + 3)
 		}
-		return http.StatusOK, "application/octet-stream", garbage
+		return http.StatusOK, "application/octet-stream", bytesPayload(garbage)
 	default:
-		return http.StatusOK, "text/csv", r.Body
+		return http.StatusOK, "text/csv", payload{data: r.Body, table: r.Table, size: r.Size}
 	}
+}
+
+// Download returns the response the portal serves at the resource's
+// URL with its body in memory; the server streams the same bytes.
+func (r *Resource) Download() (status int, contentType string, body []byte) {
+	status, contentType, p := r.response()
+	if p.table == nil {
+		return status, contentType, p.data
+	}
+	return status, contentType, csvio.Bytes(p.table)
 }

@@ -175,6 +175,31 @@ func SampleJoinPairs(tables []*table.Table, pairs []join.Pair, oracle JoinOracle
 	if len(joinableTables) == 0 {
 		return nil
 	}
+	// Reduce each column's candidates, in place, to one pair per
+	// partner table: the partner's highest-overlap column (the first
+	// strict maximum), with partner tables in first-seen order.
+	slot := map[int]int{} // partner table -> index in the reduced list
+	for _, t := range joinableTables {
+		for _, c := range colsOf[t] {
+			k := colKey{t, c}
+			cands := partners[k]
+			best := cands[:0]
+			clear(slot)
+			for _, p := range cands {
+				pt := p.T1
+				if pt == t {
+					pt = p.T2
+				}
+				if i, ok := slot[pt]; !ok {
+					slot[pt] = len(best)
+					best = append(best, p)
+				} else if p.Jaccard > best[i].Jaccard {
+					best[i] = p
+				}
+			}
+			partners[k] = best
+		}
+	}
 
 	quota := map[[2]int]int{}
 	used := map[[4]int]bool{}
@@ -188,28 +213,8 @@ func SampleJoinPairs(tables []*table.Table, pairs []join.Pair, oracle JoinOracle
 		}
 		cols := colsOf[t1]
 		c1 := cols[rng.Intn(len(cols))]
-		cands := partners[colKey{t1, c1}]
-		if len(cands) == 0 {
-			continue
-		}
-		// Group candidates by partner table; per table keep the
-		// highest-overlap column.
-		best := map[int]join.Pair{}
-		var partnerTables []int
-		for _, p := range cands {
-			pt := p.T1
-			if pt == t1 {
-				pt = p.T2
-			}
-			if cur, ok := best[pt]; !ok || p.Jaccard > cur.Jaccard {
-				if !ok {
-					partnerTables = append(partnerTables, pt)
-				}
-				best[pt] = p
-			}
-		}
-		t2 := partnerTables[rng.Intn(len(partnerTables))]
-		p := best[t2]
+		best := partners[colKey{t1, c1}]
+		p := best[rng.Intn(len(best))]
 		// Same-schema pairs are covered by the unionability analysis.
 		if tables[p.T1].SchemaKey() == tables[p.T2].SchemaKey() {
 			continue

@@ -10,6 +10,7 @@
 package csvio
 
 import (
+	"bytes"
 	"encoding/csv"
 	"errors"
 	"fmt"
@@ -261,10 +262,28 @@ func Write(w io.Writer, t *table.Table) error {
 
 // Bytes serializes a table as CSV into memory.
 func Bytes(t *table.Table) []byte {
-	var b strings.Builder
+	var b bytes.Buffer
 	if err := Write(&b, t); err != nil {
-		// strings.Builder never fails; csv.Writer only reports writer errors.
+		// bytes.Buffer never fails; csv.Writer only reports writer errors.
 		panic(err)
 	}
-	return []byte(b.String())
+	return b.Bytes()
+}
+
+// Size returns the byte length of t's CSV serialization, len(Bytes(t)),
+// without holding the serialization in memory.
+func Size(t *table.Table) int64 {
+	var n countingWriter
+	if err := Write(&n, t); err != nil {
+		panic(err) // countingWriter never fails
+	}
+	return int64(n)
+}
+
+// countingWriter discards what it is given and counts the bytes.
+type countingWriter int64
+
+func (n *countingWriter) Write(p []byte) (int, error) {
+	*n += countingWriter(len(p))
+	return len(p), nil
 }

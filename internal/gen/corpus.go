@@ -137,8 +137,13 @@ type TableMeta struct {
 	Published time.Time
 	// Cols is per-column provenance, parallel to Table.Cols.
 	Cols []ColumnInfo
-	// RawSize is the size of the table serialized as CSV, in bytes.
+	// RawSize is the size of the table serialized as CSV, in bytes. A
+	// table loaded from a saved corpus carries the size recorded there,
+	// which for an ingested snapshot is the size of the snapshot file.
 	RawSize int64
+	// csvSize is len(csvio.Bytes(Table)) when that is known without
+	// serializing (generated tables), else 0.
+	csvSize int64
 }
 
 // Role returns the provenance of column c.

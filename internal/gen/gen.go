@@ -246,7 +246,8 @@ func (g *generator) materialize(ds *DatasetMeta, topic string, style TableStyle,
 		Published:    ds.Published,
 		Cols:         infos,
 	}
-	meta.RawSize = int64(len(csvio.Bytes(t)))
+	meta.RawSize = csvio.Size(t)
+	meta.csvSize = meta.RawSize
 	g.corpus.Metas = append(g.corpus.Metas, meta)
 	return meta
 }
@@ -952,6 +953,7 @@ func (g *generator) makeDuplicateDataset() {
 		Published:    ds.Published,
 		Cols:         append([]ColumnInfo(nil), src.Cols...),
 		RawSize:      src.RawSize,
+		csvSize:      src.csvSize,
 	}
 	g.corpus.Metas = append(g.corpus.Metas, meta)
 }

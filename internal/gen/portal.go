@@ -6,19 +6,20 @@ import (
 	"strings"
 
 	"ogdp/internal/ckan"
-	"ogdp/internal/csvio"
 )
 
-// BuildPortal serializes a corpus into a ckan.Portal, adding the
-// deliberately broken resources (404s, HTML pages, binary garbage) and
-// very wide tables at the profile's rates so a ckan.Client fetching
-// the portal observes the paper's downloadable/readable funnel
-// (Table 1). seed drives the placement of broken resources.
 // csvFormatVariants are the advertised-format spellings real CKAN
 // metadata uses for CSV resources; the fetch client must match them
 // case-insensitively.
 var csvFormatVariants = []string{"CSV", "csv", "Csv", " CSV", "csv "}
 
+// BuildPortal publishes a corpus as a ckan.Portal, adding the
+// deliberately broken resources (404s, HTML pages, binary garbage) and
+// very wide tables at the profile's rates so a ckan.Client fetching
+// the portal observes the paper's downloadable/readable funnel
+// (Table 1). Each table becomes a table-backed resource that the
+// server serializes per download; only the broken and wide resources
+// carry a Body. seed drives the placement of broken resources.
 func BuildPortal(c *Corpus, seed int64) *ckan.Portal {
 	rng := rand.New(rand.NewSource(seed))
 	// Format spellings draw from their own stream so they don't
@@ -54,7 +55,8 @@ func BuildPortal(c *Corpus, seed int64) *ckan.Portal {
 				Name:   m.Table.Name,
 				Format: format(),
 				URL:    "/download/" + id,
-				Body:   csvio.Bytes(m.Table),
+				Table:  m.Table,
+				Size:   m.csvSize,
 			})
 		}
 		// Broken and wide resources, proportional to the dataset's real

@@ -1,12 +1,17 @@
 package gen
 
 import (
+	"bytes"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 
 	"ogdp/internal/ckan"
 	"ogdp/internal/csvio"
 	"ogdp/internal/sniff"
+	"ogdp/internal/table"
 )
 
 func TestBuildPortalStructure(t *testing.T) {
@@ -30,10 +35,11 @@ func TestBuildPortalStructure(t *testing.T) {
 			spellings[r.Format] = true
 			switch r.Broken {
 			case ckan.BrokenNone:
-				if len(r.Body) == 0 {
+				_, _, body := r.Download()
+				if len(body) == 0 {
 					t.Errorf("resource %s has no body", r.ID)
 				}
-				if tb, err := csvio.ReadBytes(r.Name, r.Body); err == nil && tb.NumCols() >= 100 {
+				if tb, err := csvio.ReadBytes(r.Name, body); err == nil && tb.NumCols() >= 100 {
 					t.Errorf("unexpectedly parsed a wide table: %d cols", tb.NumCols())
 				} else if err != nil {
 					wide++ // wide filler bodies fail the cutoff
@@ -68,15 +74,16 @@ func TestBuildPortalWideBodiesAreCSVLooking(t *testing.T) {
 	foundWide := false
 	for _, d := range portal.Datasets {
 		for _, r := range d.Resources {
-			if r.Broken != ckan.BrokenNone || len(r.Body) == 0 {
+			if r.Broken != ckan.BrokenNone {
 				continue
 			}
-			if _, err := csvio.ReadBytes(r.Name, r.Body); err != nil {
+			_, _, body := r.Download()
+			if _, err := csvio.ReadBytes(r.Name, body); err != nil {
 				foundWide = true
 				// Wide bodies must still sniff as CSV (downloadable but
 				// rejected at the cutoff, like the paper's 100+-column
 				// publications).
-				if f := sniff.Detect(r.Body); !f.IsTabular() {
+				if f := sniff.Detect(body); !f.IsTabular() {
 					t.Errorf("wide body sniffs as %v", f)
 				}
 			}
@@ -143,5 +150,54 @@ func TestStyleAndRoleStrings(t *testing.T) {
 	}
 	if TableStyle(99).String() != "invalid" || ColumnRole(99).String() != "invalid" {
 		t.Error("out-of-range names")
+	}
+}
+
+// TestPortalStreamsEveryTableAsItsCSV: the server writes each
+// table-backed resource straight into the response, and the bytes a
+// client reads are exactly csvio.Bytes of the table, of the length the
+// generator recorded as RawSize. Broken and wide resources serve their
+// Body unchanged.
+func TestPortalStreamsEveryTableAsItsCSV(t *testing.T) {
+	for _, seed := range []int64{1, 2} {
+		c := Generate(UK(), 0.05, seed)
+		metaOf := make(map[*table.Table]*TableMeta, len(c.Metas))
+		for _, m := range c.Metas {
+			metaOf[m.Table] = m
+		}
+		p := BuildPortal(c, seed)
+		srv := httptest.NewServer(ckan.NewServer(p))
+		tables := 0
+		for _, d := range p.Datasets {
+			for _, r := range d.Resources {
+				resp, err := http.Get(srv.URL + r.URL)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				if err != nil {
+					t.Fatalf("seed %d: %s: %v", seed, r.ID, err)
+				}
+				if r.Table == nil {
+					if _, _, want := r.Download(); !bytes.Equal(got, want) {
+						t.Errorf("seed %d: %s: served %d bytes, Download has %d", seed, r.ID, len(got), len(want))
+					}
+					continue
+				}
+				tables++
+				m := metaOf[r.Table]
+				if want := csvio.Bytes(r.Table); !bytes.Equal(got, want) {
+					t.Errorf("seed %d: %s: streamed body differs from csvio.Bytes (%d vs %d bytes)", seed, r.ID, len(got), len(want))
+				}
+				if m == nil || m.RawSize != int64(len(got)) || r.Size != m.RawSize || resp.ContentLength != m.RawSize {
+					t.Errorf("seed %d: %s: body %d bytes, Content-Length %d, Size %d, meta %v", seed, r.ID, len(got), resp.ContentLength, r.Size, m)
+				}
+			}
+		}
+		srv.Close()
+		if tables != len(c.Metas) {
+			t.Errorf("seed %d: %d table-backed resources, %d tables", seed, tables, len(c.Metas))
+		}
 	}
 }

@@ -116,10 +116,16 @@ func splitCols(cols []int, f fd.FD) [][]int {
 	return [][]int{cols1, cols2}
 }
 
-// dedupe returns a copy of t with duplicate rows removed (projection
-// semantics): the first row of every distinct tuple, in row order.
+// dedupe returns t with duplicate rows removed (projection
+// semantics): the first row of every distinct tuple, in row order. A
+// t without duplicates is returned as it is, cached encodings and
+// profiles included.
 func dedupe(t *table.Table) *table.Table {
-	return t.SelectRows(t.DistinctRows(allIndices(t.NumCols())))
+	keep := t.DistinctRows(allIndices(t.NumCols()))
+	if len(keep) == t.NumRows() {
+		return t
+	}
+	return t.SelectRows(keep)
 }
 
 func allIndices(n int) []int {

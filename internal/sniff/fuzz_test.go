@@ -2,6 +2,7 @@ package sniff_test
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"ogdp/internal/ckan"
@@ -9,10 +10,63 @@ import (
 	"ogdp/internal/sniff"
 )
 
+// oracleDetect is Detect as it was when it lowercased the whole
+// sniffed window before matching the HTML and XML prefixes; Detect
+// now lowercases only a short leading prefix and must agree with it.
+func oracleDetect(data []byte) sniff.Format {
+	if len(data) == 0 {
+		return sniff.FormatEmpty
+	}
+	if len(data) > sniff.SniffLimit {
+		data = data[:sniff.SniffLimit]
+	}
+
+	switch {
+	case bytes.HasPrefix(data, []byte("%PDF")):
+		return sniff.FormatPDF
+	case bytes.HasPrefix(data, []byte{0x1f, 0x8b}):
+		return sniff.FormatGZIP
+	case bytes.HasPrefix(data, []byte("PK\x03\x04")):
+		if sniff.LooksLikeXLSX(data) {
+			return sniff.FormatXLSX
+		}
+		return sniff.FormatZIP
+	}
+
+	trimmed := bytes.TrimLeft(data, " \t\r\n\uFEFF")
+	if len(trimmed) == 0 {
+		return sniff.FormatEmpty
+	}
+	lower := bytes.ToLower(trimmed)
+	switch {
+	case bytes.HasPrefix(lower, []byte("<!doctype html")),
+		bytes.HasPrefix(lower, []byte("<html")),
+		bytes.HasPrefix(lower, []byte("<head")),
+		bytes.HasPrefix(lower, []byte("<body")):
+		return sniff.FormatHTML
+	case bytes.HasPrefix(lower, []byte("<?xml")), bytes.HasPrefix(lower, []byte("<rss")):
+		return sniff.FormatXML
+	}
+	if trimmed[0] == '{' || trimmed[0] == '[' {
+		if sniff.LooksLikeJSON(trimmed) {
+			return sniff.FormatJSON
+		}
+	}
+
+	if !sniff.LooksLikeText(data) {
+		return sniff.FormatBinary
+	}
+	if f, ok := sniff.SniffDelimited(string(data)); ok {
+		return f
+	}
+	return sniff.FormatUnknown
+}
+
 // FuzzSniff checks that Detect never panics, leaves its input alone,
-// and gives the same answer for the same bytes. Seeds cover every
-// format the tests name and the bodies of a generated portal, broken
-// resources included.
+// gives the same answer for the same bytes, and agrees with
+// oracleDetect. Seeds cover every format the tests name, markup behind
+// multi-byte runes that lowercase to fewer bytes, and the bodies of a
+// generated portal, broken resources included.
 func FuzzSniff(f *testing.F) {
 	for _, s := range []string{
 		"%PDF-1.7 blah",
@@ -27,6 +81,10 @@ func FuzzSniff(f *testing.F) {
 		"id\tname\n1\talpha\n2\tbeta\n",
 		"name\nalpha\nbeta\ngamma\n",
 		"",
+		"\u212A<HTML><BODY>x</BODY></HTML>",
+		strings.Repeat("\u212A", 20) + "<html>",
+		"\uFEFF<!DOCTYPE HTML>",
+		"\xff\xfe<?XML version=\"1.0\"?>",
 	} {
 		f.Add([]byte(s))
 	}
@@ -49,6 +107,9 @@ func FuzzSniff(f *testing.F) {
 		}
 		if again := sniff.Detect(orig); again != first {
 			t.Fatalf("Detect gave %v, then %v", first, again)
+		}
+		if want := oracleDetect(orig); first != want {
+			t.Fatalf("Detect gave %v, oracle %v", first, want)
 		}
 	})
 }

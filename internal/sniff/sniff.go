@@ -47,6 +47,10 @@ func (f Format) IsTabular() bool { return f == FormatCSV || f == FormatTSV }
 // sniffLimit bounds how much of the content Detect inspects.
 const sniffLimit = 64 << 10
 
+// markupPrefixLimit bounds how many leading bytes Detect lowercases to
+// match the HTML and XML prefixes.
+const markupPrefixLimit = 64
+
 // Detect determines the format of data by magic bytes first and content
 // heuristics second.
 func Detect(data []byte) Format {
@@ -73,7 +77,10 @@ func Detect(data []byte) Format {
 	if len(trimmed) == 0 {
 		return FormatEmpty
 	}
-	lower := bytes.ToLower(trimmed)
+	// The markup prefixes below are at most 14 bytes; lowercasing 64
+	// leading bytes yields at least 14 intact bytes even when every
+	// rune is 4 bytes wide and lowercases to 1.
+	lower := bytes.ToLower(trimmed[:min(len(trimmed), markupPrefixLimit)])
 	switch {
 	case bytes.HasPrefix(lower, []byte("<!doctype html")),
 		bytes.HasPrefix(lower, []byte("<html")),
