@@ -262,7 +262,7 @@ func BenchmarkFigure7Decomposition(b *testing.B) {
 		for _, t := range sub {
 			res := normalize.Decompose(t, fd.MaxLHS, rng)
 			if !res.InBCNF() {
-				total += len(res.Tables)
+				total += len(res.Parts)
 				n++
 			}
 		}

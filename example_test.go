@@ -46,7 +46,7 @@ func ExampleDecomposeBCNF() {
 	}
 	t, _ := ogdp.ReadCSV("grants.csv", strings.NewReader(b.String()))
 	res := ogdp.DecomposeBCNF(t, 1)
-	fmt.Println(len(res.Tables) > 1)
+	fmt.Println(len(res.Parts) > 1)
 	// Output:
 	// true
 }

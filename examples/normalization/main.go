@@ -44,8 +44,9 @@ func main() {
 	}
 
 	res := ogdp.DecomposeBCNF(t, 42)
-	fmt.Printf("\nBCNF decomposition: %d sub-tables (%d steps)\n", len(res.Tables), res.Steps)
-	for _, st := range res.Tables {
+	subs := res.Tables()
+	fmt.Printf("\nBCNF decomposition: %d sub-tables (%d steps)\n", len(subs), res.Steps)
+	for _, st := range subs {
 		fmt.Printf("  [%s]  %d rows\n", strings.Join(st.Cols, ", "), st.NumRows())
 	}
 	fmt.Printf("\navg uniqueness gain for unrepeated columns: %.2fx\n", res.UniquenessGain())
@@ -53,5 +54,5 @@ func main() {
 	fmt.Println("useful base tables the paper suggests systems should surface (§4.3).")
 
 	fmt.Println("\nthe decomposition as a relational schema (inferred types, keys, fks):")
-	fmt.Println(ogdp.ExportSQL(res.Tables, true))
+	fmt.Println(ogdp.ExportSQL(subs, true))
 }

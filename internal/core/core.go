@@ -724,11 +724,11 @@ func fdTableOne(t *table.Table, seed int64, i int) tableFD {
 	}
 	r.withFD = true
 	r.simpleFD = len(fd.SimpleFDs(res.FDs)) > 0
-	r.subTables = len(res.Tables)
+	r.subTables = len(res.Parts)
 	r.inBCNF = res.InBCNF()
 	if !r.inBCNF {
-		for _, sub := range res.Tables {
-			r.partCols = append(r.partCols, float64(sub.NumCols()))
+		for _, part := range res.Parts {
+			r.partCols = append(r.partCols, float64(len(part)))
 		}
 		r.gain = res.UniquenessGain()
 	}

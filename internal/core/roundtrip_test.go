@@ -93,3 +93,44 @@ func TestDiskRoundtripStudyParity(t *testing.T) {
 			want.Join.Pairs, want.Labels.Samples, want.Sizes.Readable)
 	}
 }
+
+// TestStudyKeepsColstoreTablesEncoded runs the portal study over a
+// corpus served from its colstore files, with the extension and
+// sensitivity analyses off and on: every analysis reads the tables
+// through their encodings, so no table may materialize its cells.
+func TestStudyKeepsColstoreTablesEncoded(t *testing.T) {
+	if testing.Short() {
+		t.Skip("saves a corpus and runs the study twice")
+	}
+	scale := 0.2
+	if raceEnabled {
+		scale = 0.05
+	}
+	dir := t.TempDir()
+	if _, err := gen.SaveCorpus(dir, gen.Generate(gen.CA(), scale, 1)); err != nil {
+		t.Fatal(err)
+	}
+	for _, on := range []bool{false, true} {
+		src, err := diskcorpus.LoadStudy(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		materialized := func() int {
+			n := 0
+			for _, m := range src.TableMetas() {
+				if !m.Table.Encoded() {
+					n++
+				}
+			}
+			return n
+		}
+		if n := materialized(); n > 0 {
+			t.Fatalf("%d tables not served from colstore; the test would not exercise the encoded path", n)
+		}
+		RunPortal(src, Options{Scale: scale, Seed: 1, Extensions: on, Sensitivity: on})
+		if n := materialized(); n > 0 {
+			t.Errorf("extensions and sensitivity %v: %d of %d tables materialized their cells",
+				on, n, len(src.TableMetas()))
+		}
+	}
+}

@@ -301,6 +301,12 @@ func NewLattice(t *table.Table) *Lattice {
 	return &Lattice{e: newEngine(t)}
 }
 
+// Card returns card_T(cols) for distinct column indices cols: the row
+// count of the deduplicated projection DiscoverCols searches. The
+// lattice must not be empty. A Cost taken before the call is
+// unchanged.
+func (l *Lattice) Card(cols []int) int { return l.e.card(setOf(cols)) }
+
 // Discover is the root search, the FDs and Cost DiscoverCost returns
 // for the lattice's table (nTotal is the row count, duplicates
 // included). Cost.Cardinalities is the size of the shared cache when

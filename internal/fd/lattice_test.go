@@ -10,22 +10,28 @@ import (
 	"ogdp/internal/table"
 )
 
-// dedupeRows returns t without duplicate rows under the canonical-code
-// convention (all null spellings equal), first occurrence kept.
-func dedupeRows(t *table.Table) *table.Table {
-	all := make([]int, t.NumCols())
-	for c := range all {
-		all[c] = c
+// dedupeRows returns the projection of t onto cols without duplicate
+// rows under the canonical-code convention (all null spellings equal),
+// first occurrence kept, built row by row as an oracle independent of
+// the table package's partitions.
+func dedupeRows(t *table.Table, cols []int) *table.Table {
+	names := make([]string, len(cols))
+	for i, c := range cols {
+		names[i] = t.Cols[c]
 	}
 	seen := map[string]bool{}
-	var keep []int
+	var rows [][]string
 	for r := 0; r < t.NumRows(); r++ {
-		if k := tupleKey(t, all, r); !seen[k] {
+		if k := tupleKey(t, cols, r); !seen[k] {
 			seen[k] = true
-			keep = append(keep, r)
+			row := make([]string, len(cols))
+			for i, c := range cols {
+				row[i] = t.Value(c, r)
+			}
+			rows = append(rows, row)
 		}
 	}
-	return t.SelectRows(keep)
+	return table.FromRows(t.Name, names, rows)
 }
 
 // randomTable draws a small table from a tiny domain that includes two
@@ -57,7 +63,8 @@ func randomTable(rng *rand.Rand) *table.Table {
 
 // TestLatticeColsMatchBuiltProjection checks the projection identity:
 // the lattice's FDs for a column list, in any order, equal Discover on
-// the deduplicated projection built as a table.
+// the deduplicated projection built as a table, and its Card is that
+// table's row count.
 func TestLatticeColsMatchBuiltProjection(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 200; trial++ {
@@ -68,10 +75,14 @@ func TestLatticeColsMatchBuiltProjection(t *testing.T) {
 			cols := perm[:1+rng.Intn(len(perm))]
 			maxLHS := 1 + rng.Intn(MaxLHS)
 			got := lat.DiscoverCols(cols, maxLHS)
-			want := Discover(dedupeRows(tb.Project(cols)), maxLHS)
+			built := dedupeRows(tb, cols)
+			want := Discover(built, maxLHS)
 			if !reflect.DeepEqual(fdStrings(got), fdStrings(want)) {
 				t.Fatalf("trial %d cols %v maxLHS %d:\nlattice: %v\nbuilt:   %v\nrows: %v",
 					trial, cols, maxLHS, fdStrings(got), fdStrings(want), tb.Rows())
+			}
+			if n := lat.Card(cols); n != built.NumRows() {
+				t.Fatalf("trial %d cols %v: Card = %d, built projection has %d rows", trial, cols, n, built.NumRows())
 			}
 		}
 	}

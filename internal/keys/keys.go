@@ -4,12 +4,7 @@
 // which have no candidate key of size ≤ 3 at all (Figure 6).
 package keys
 
-import (
-	"context"
-
-	"ogdp/internal/parallel"
-	"ogdp/internal/table"
-)
+import "ogdp/internal/table"
 
 // MaxCandidateKeySize is the largest composite key the paper searches
 // for.
@@ -108,22 +103,10 @@ func searchSize(t *table.Table, cols []int, size, nRows int) bool {
 // index 1..maxSize hold counts of tables whose smallest key has that
 // size; index 0 holds tables with no key of size ≤ maxSize.
 func SizeDistribution(tables []*table.Table, maxSize int) []int {
-	return SizeDistributionParallel(tables, maxSize, 1)
-}
-
-// SizeDistributionParallel fans the per-table minimal-key search out
-// over workers goroutines (0 = GOMAXPROCS, 1 = sequential). Each
-// table's search is independent, so the merged histogram is identical
-// for every worker count.
-//
-// Callers that already run inside a fan-out (like core's fused §4
-// pass) should instead call MinCandidateKeySize per unit and fold with
-// FoldSizeDistribution, avoiding a nested pool.
-func SizeDistributionParallel(tables []*table.Table, maxSize, workers int) []int {
-	sizes := parallel.MustMap(parallel.Map(parallel.WithPool(context.Background(), "keys"),
-		len(tables), workers, func(i int) int {
-			return MinCandidateKeySize(tables[i], maxSize)
-		}))
+	sizes := make([]int, len(tables))
+	for i, t := range tables {
+		sizes[i] = MinCandidateKeySize(t, maxSize)
+	}
 	return FoldSizeDistribution(sizes, maxSize)
 }
 

@@ -11,6 +11,7 @@ import (
 	"ogdp/internal/csvio"
 	"ogdp/internal/fd"
 	"ogdp/internal/gen"
+	"ogdp/internal/stats"
 	"ogdp/internal/table"
 )
 
@@ -75,12 +76,21 @@ type refStep struct {
 	fds  []fd.FD
 }
 
+// refResult is the reference decomposition: the final sub-tables as
+// built, their original columns and the number of steps.
+type refResult struct {
+	orig   *table.Table
+	tables []*table.Table
+	cols   [][]int
+	steps  int
+}
+
 // referenceDecompose is the build-and-rediscover BCNF algorithm the
 // lattice replaced: every split builds both deduplicated sub-tables
 // and runs fd.Discover on each from scratch. It records every
 // sub-table it visits.
-func referenceDecompose(t *table.Table, maxLHS int, rng *rand.Rand) (*Result, []refStep) {
-	res := &Result{Original: t}
+func referenceDecompose(t *table.Table, maxLHS int, rng *rand.Rand) (*refResult, []refStep) {
+	res := &refResult{orig: t}
 	var steps []refStep
 	type work struct {
 		t    *table.Table
@@ -93,12 +103,12 @@ func referenceDecompose(t *table.Table, maxLHS int, rng *rand.Rand) (*Result, []
 			fds := fd.Discover(w.t, maxLHS)
 			steps = append(steps, refStep{orig: w.orig, fds: fds})
 			if len(fds) == 0 {
-				res.Tables = append(res.Tables, w.t)
-				res.originalCols = append(res.originalCols, w.orig)
+				res.tables = append(res.tables, w.t)
+				res.cols = append(res.cols, w.orig)
 				continue
 			}
 			f := fds[rng.Intn(len(fds))]
-			res.Steps++
+			res.steps++
 			cols1 := append(append([]int(nil), f.LHS...), f.RHS)
 			var cols2 []int
 			for c := 0; c < w.t.NumCols(); c++ {
@@ -111,25 +121,64 @@ func referenceDecompose(t *table.Table, maxLHS int, rng *rand.Rand) (*Result, []
 				for k, c := range cols {
 					orig[k] = w.orig[c]
 				}
-				next = append(next, work{t: dedupe(w.t.Project(cols)), orig: orig})
+				next = append(next, work{t: w.t.DistinctProject(cols), orig: orig})
 			}
 		}
 		stack = next
 	}
 	for _, w := range stack {
-		res.Tables = append(res.Tables, w.t)
-		res.originalCols = append(res.originalCols, w.orig)
+		res.tables = append(res.tables, w.t)
+		res.cols = append(res.cols, w.orig)
 	}
 	return res, steps
+}
+
+// gain is UniquenessGain as it was when it read the uniqueness scores
+// off the profiles of the built sub-tables.
+func (r *refResult) gain() float64 {
+	if len(r.tables) == 1 && r.steps == 0 {
+		return 1
+	}
+	// Count appearances of each original column across sub-tables.
+	nCols := r.orig.NumCols()
+	appear := make([]int, nCols)
+	where := make([][2]int, nCols) // original col -> (table idx, col idx)
+	for ti, cols := range r.cols {
+		for ci, oc := range cols {
+			appear[oc]++
+			where[oc] = [2]int{ti, ci}
+		}
+	}
+	// Sum in ascending column order so the float result is the same
+	// on every call.
+	var sum float64
+	var n int
+	for oc, cnt := range appear {
+		if cnt != 1 {
+			continue // repeated column (an FD LHS): excluded by the paper
+		}
+		before := r.orig.Profile(oc).Uniqueness()
+		if stats.ApproxEq(before, 0) {
+			continue
+		}
+		loc := where[oc]
+		after := r.tables[loc[0]].Profile(loc[1]).Uniqueness()
+		sum += after / before
+		n++
+	}
+	if n == 0 {
+		return 1
+	}
+	return sum / float64(n)
 }
 
 // TestDecomposeMatchesReferenceOnCorpora runs the lattice-based
 // Decompose and the build-and-rediscover reference side by side on the
 // generated portals. At every sub-table the reference visits, the
 // lattice's FDs for its column list must equal fd.Discover on the
-// built sub-table; the results must agree in steps, column lists,
-// sub-table bytes and uniqueness gain; and the root cost must be the
-// study's pinned cardinality count.
+// built sub-table; the results must agree in steps, column lists, row
+// counts, sub-table bytes and uniqueness gain; and the root cost must
+// be the study's pinned cardinality count.
 func TestDecomposeMatchesReferenceOnCorpora(t *testing.T) {
 	scale, seeds := corpusSpec()
 	fixtures := fdFixtures(t, scale, seeds)
@@ -155,16 +204,20 @@ func TestDecomposeMatchesReferenceOnCorpora(t *testing.T) {
 			}
 		}
 
-		if got.Steps != want.Steps || !reflect.DeepEqual(got.originalCols, want.originalCols) {
-			t.Fatalf("%s: steps %d cols %v, reference steps %d cols %v",
-				fx.name, got.Steps, got.originalCols, want.Steps, want.originalCols)
+		if got.Steps != want.steps || !reflect.DeepEqual(got.Parts, want.cols) {
+			t.Fatalf("%s: steps %d parts %v, reference steps %d cols %v",
+				fx.name, got.Steps, got.Parts, want.steps, want.cols)
 		}
-		for i := range got.Tables {
-			if !bytes.Equal(csvio.Bytes(got.Tables[i]), csvio.Bytes(want.Tables[i])) {
-				t.Fatalf("%s: sub-table %d (cols %v) differs from the reference", fx.name, i, got.originalCols[i])
+		for i, sub := range got.Tables() {
+			if got.rows[i] != want.tables[i].NumRows() {
+				t.Fatalf("%s: part %d (cols %v) has %d rows, reference %d",
+					fx.name, i, got.Parts[i], got.rows[i], want.tables[i].NumRows())
+			}
+			if !bytes.Equal(csvio.Bytes(sub), csvio.Bytes(want.tables[i])) {
+				t.Fatalf("%s: sub-table %d (cols %v) differs from the reference", fx.name, i, got.Parts[i])
 			}
 		}
-		if g, w := got.UniquenessGain(), want.UniquenessGain(); math.Float64bits(g) != math.Float64bits(w) {
+		if g, w := got.UniquenessGain(), want.gain(); math.Float64bits(g) != math.Float64bits(w) {
 			t.Fatalf("%s: gain %v, reference %v", fx.name, g, w)
 		}
 		if !got.InBCNF() {

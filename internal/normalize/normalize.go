@@ -16,7 +16,9 @@
 // canonical codes depend only on the values, and π_S(T) has card_T(S)
 // rows. So one fd.Lattice over the original table, with one memoized
 // cardinality cache, finds the same FDs at every step as discovery on
-// the built sub-table would, and only the final sub-tables are built.
+// the built sub-table would. The result is the final column sets and
+// their row counts, card_T(S), from the same cache; a sub-table is
+// built only when a caller asks for it (Result.Tables).
 package normalize
 
 import (
@@ -38,19 +40,33 @@ type Result struct {
 	// it: it counts the original table's search only, not the
 	// searches of the decomposition steps.
 	Cost fd.Cost
-	// Tables is the final decomposition; a single entry means the
-	// original was already in BCNF.
-	Tables []*table.Table
+	// Parts is the final decomposition, each sub-table as its original
+	// column indices; a single entry means the original was already
+	// in BCNF.
+	Parts [][]int
 	// Steps is the number of decomposition steps performed.
 	Steps int
-	// originalCols maps final sub-table columns back to the original
-	// column indices, parallel to Tables.
-	originalCols [][]int
+	// rows holds each part's row count, parallel to Parts.
+	rows []int
 }
 
 // InBCNF reports whether the original table was already in BCNF (with
 // respect to FDs of bounded LHS size).
-func (r *Result) InBCNF() bool { return len(r.Tables) == 1 && r.Steps == 0 }
+func (r *Result) InBCNF() bool { return len(r.Parts) == 1 && r.Steps == 0 }
+
+// Tables builds the final sub-tables, parallel to Parts: each is the
+// deduplicated projection of the original onto its part. A table
+// already in BCNF is its own decomposition, returned as it is.
+func (r *Result) Tables() []*table.Table {
+	if r.InBCNF() {
+		return []*table.Table{r.Original}
+	}
+	out := make([]*table.Table, len(r.Parts))
+	for i, cols := range r.Parts {
+		out[i] = r.Original.DistinctProject(cols)
+	}
+	return out
+}
 
 // maxDepth caps the recursion as a safety net; the textbook algorithm
 // terminates on its own because both sub-tables are strictly narrower.
@@ -59,15 +75,15 @@ const maxDepth = 64
 // Decompose runs the BCNF decomposition of t using FDs with
 // |LHS| ≤ maxLHS. The rng drives the uniformly random FD choice of the
 // paper's methodology; it must not be nil. Each sub-table is tracked
-// as its list of original columns, and its FDs come from the original
-// table's cardinality lattice; only the final sub-tables are built.
+// as its list of original columns, and its FDs and row count come from
+// the original table's cardinality lattice; no sub-table is built.
 func Decompose(t *table.Table, maxLHS int, rng *rand.Rand) *Result {
 	lat := fd.NewLattice(t)
 	res := &Result{Original: t}
 	res.FDs, res.Cost = lat.Discover(maxLHS)
 	if len(res.FDs) == 0 {
-		res.Tables = []*table.Table{t}
-		res.originalCols = [][]int{allIndices(t.NumCols())}
+		res.Parts = [][]int{allIndices(t.NumCols())}
+		res.rows = []int{t.NumRows()}
 		return res
 	}
 	var leaves [][]int
@@ -90,11 +106,10 @@ func Decompose(t *table.Table, maxLHS int, rng *rand.Rand) *Result {
 		stack = next
 	}
 	// Anything left if the safety cap was hit is final as it stands.
-	leaves = append(leaves, stack...)
-	for _, cols := range leaves {
-		res.Tables = append(res.Tables, dedupe(t.Project(cols)))
+	res.Parts = append(leaves, stack...)
+	for _, cols := range res.Parts {
+		res.rows = append(res.rows, lat.Card(cols))
 	}
-	res.originalCols = leaves
 	return res
 }
 
@@ -114,18 +129,6 @@ func splitCols(cols []int, f fd.FD) [][]int {
 		}
 	}
 	return [][]int{cols1, cols2}
-}
-
-// dedupe returns t with duplicate rows removed (projection
-// semantics): the first row of every distinct tuple, in row order. A
-// t without duplicates is returned as it is, cached encodings and
-// profiles included.
-func dedupe(t *table.Table) *table.Table {
-	keep := t.DistinctRows(allIndices(t.NumCols()))
-	if len(keep) == t.NumRows() {
-		return t
-	}
-	return t.SelectRows(keep)
 }
 
 func allIndices(n int) []int {
@@ -148,11 +151,11 @@ func (r *Result) UniquenessGain() float64 {
 	// Count appearances of each original column across sub-tables.
 	nCols := r.Original.NumCols()
 	appear := make([]int, nCols)
-	where := make([][2]int, nCols) // original col -> (table idx, col idx)
-	for ti, cols := range r.originalCols {
-		for ci, oc := range cols {
+	where := make([]int, nCols) // original col -> part index
+	for i, cols := range r.Parts {
+		for _, oc := range cols {
 			appear[oc]++
-			where[oc] = [2]int{ti, ci}
+			where[oc] = i
 		}
 	}
 	// Sum in ascending column order so the float result is the same
@@ -163,12 +166,14 @@ func (r *Result) UniquenessGain() float64 {
 		if cnt != 1 {
 			continue // repeated column (an FD LHS): excluded by the paper
 		}
-		before := r.Original.Profile(oc).Uniqueness()
+		p := r.Original.Profile(oc)
+		before := p.Uniqueness()
 		if stats.ApproxEq(before, 0) {
 			continue
 		}
-		loc := where[oc]
-		after := r.Tables[loc[0]].Profile(loc[1]).Uniqueness()
+		// The part keeps every distinct value of the column over its
+		// deduplicated rows.
+		after := float64(p.Distinct) / float64(r.rows[where[oc]])
 		sum += after / before
 		n++
 	}

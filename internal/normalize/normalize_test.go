@@ -39,12 +39,12 @@ func TestDecomposeSplitsCityProvince(t *testing.T) {
 	if res.InBCNF() {
 		t.Fatal("denormalized table reported as BCNF")
 	}
-	if len(res.Tables) < 2 {
-		t.Fatalf("decomposed into %d tables", len(res.Tables))
+	if len(res.Parts) < 2 {
+		t.Fatalf("decomposed into %d tables", len(res.Parts))
 	}
 	// One sub-table must be the city->province lookup.
 	found := false
-	for _, st := range res.Tables {
+	for _, st := range res.Tables() {
 		names := strings.Join(st.Cols, ",")
 		if names == "city,province" {
 			found = true
@@ -55,7 +55,7 @@ func TestDecomposeSplitsCityProvince(t *testing.T) {
 	}
 	if !found {
 		var all []string
-		for _, st := range res.Tables {
+		for _, st := range res.Tables() {
 			all = append(all, strings.Join(st.Cols, ","))
 		}
 		t.Errorf("no city/province sub-table; got %v", all)
@@ -68,8 +68,8 @@ func TestDecomposeBCNFInput(t *testing.T) {
 		{"1", "a"}, {"2", "b"}, {"3", "c"},
 	})
 	res := Decompose(tb, fd.MaxLHS, rand.New(rand.NewSource(1)))
-	if !res.InBCNF() || len(res.Tables) != 1 || res.Steps != 0 {
-		t.Errorf("BCNF input: tables=%d steps=%d", len(res.Tables), res.Steps)
+	if !res.InBCNF() || len(res.Parts) != 1 || res.Steps != 0 {
+		t.Errorf("BCNF input: tables=%d steps=%d", len(res.Parts), res.Steps)
 	}
 	if res.UniquenessGain() != 1 {
 		t.Errorf("gain for BCNF table = %g, want 1", res.UniquenessGain())
@@ -79,7 +79,7 @@ func TestDecomposeBCNFInput(t *testing.T) {
 func TestSubTablesAreBCNF(t *testing.T) {
 	tb := denormalized()
 	res := Decompose(tb, fd.MaxLHS, rand.New(rand.NewSource(2)))
-	for _, st := range res.Tables {
+	for _, st := range res.Tables() {
 		if fds := fd.Discover(st, fd.MaxLHS); len(fds) != 0 {
 			t.Errorf("sub-table %v still has FDs: %v", st.Cols, fds)
 		}
@@ -93,9 +93,10 @@ func TestLosslessness(t *testing.T) {
 	tb := denormalized()
 	res := Decompose(tb, fd.MaxLHS, rand.New(rand.NewSource(3)))
 
-	joined := res.Tables[0]
-	for i := 1; i < len(res.Tables); i++ {
-		joined = naturalJoin(joined, res.Tables[i])
+	subs := res.Tables()
+	joined := subs[0]
+	for _, st := range subs[1:] {
+		joined = naturalJoin(joined, st)
 	}
 	// Same column multiset (order may differ) and same distinct tuples.
 	if joined.NumCols() != tb.NumCols() {
@@ -198,7 +199,7 @@ func TestDecomposeDeterministicWithSeed(t *testing.T) {
 	shapes := func(seed int64) string {
 		res := Decompose(tb, fd.MaxLHS, rand.New(rand.NewSource(seed)))
 		var parts []string
-		for _, st := range res.Tables {
+		for _, st := range res.Tables() {
 			parts = append(parts, strings.Join(st.Cols, ","))
 		}
 		sort.Strings(parts)
@@ -218,7 +219,7 @@ func TestDecomposeConstantColumn(t *testing.T) {
 		t.Fatal("constant column table reported BCNF")
 	}
 	// The constant column must end up in a 1-row sub-table.
-	for _, st := range res.Tables {
+	for _, st := range res.Tables() {
 		if len(st.Cols) == 1 && st.Cols[0] == "const" && st.NumRows() != 1 {
 			t.Errorf("constant sub-table has %d rows", st.NumRows())
 		}
@@ -246,10 +247,10 @@ func TestDecomposeManyFDs(t *testing.T) {
 		"dept_number", "dept_description", "amount",
 	}, rows)
 	res := Decompose(tb, fd.MaxLHS, rand.New(rand.NewSource(6)))
-	if len(res.Tables) < 3 {
-		t.Errorf("budget table decomposed into only %d sub-tables", len(res.Tables))
+	if len(res.Parts) < 3 {
+		t.Errorf("budget table decomposed into only %d sub-tables", len(res.Parts))
 	}
-	for _, st := range res.Tables {
+	for _, st := range res.Tables() {
 		if fds := fd.Discover(st, fd.MaxLHS); len(fds) != 0 {
 			t.Errorf("sub-table %v not in BCNF", st.Cols)
 		}

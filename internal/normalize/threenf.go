@@ -97,7 +97,7 @@ func Synthesize3NF(t *table.Table, maxLHS int) *ThreeNFResult {
 	schemas = dropSubsumed(schemas)
 
 	for _, s := range schemas {
-		res.Tables = append(res.Tables, dedupe(t.Project(s)))
+		res.Tables = append(res.Tables, t.DistinctProject(s))
 	}
 	return res
 }

@@ -11,8 +11,10 @@ import (
 )
 
 // oracleDetect is Detect as it was when it lowercased the whole
-// sniffed window before matching the HTML and XML prefixes; Detect
-// now lowercases only a short leading prefix and must agree with it.
+// sniffed window before matching the HTML and XML prefixes and handed
+// the whole window to sniffDelimited; Detect now lowercases only a
+// short leading prefix, converts only the lines sniffDelimited reads,
+// and must agree with it.
 func oracleDetect(data []byte) sniff.Format {
 	if len(data) == 0 {
 		return sniff.FormatEmpty
@@ -65,8 +67,9 @@ func oracleDetect(data []byte) sniff.Format {
 // FuzzSniff checks that Detect never panics, leaves its input alone,
 // gives the same answer for the same bytes, and agrees with
 // oracleDetect. Seeds cover every format the tests name, markup behind
-// multi-byte runes that lowercase to fewer bytes, and the bodies of a
-// generated portal, broken resources included.
+// multi-byte runes that lowercase to fewer bytes, a window whose lines
+// change at the line limit, and the bodies of a generated portal,
+// broken resources included.
 func FuzzSniff(f *testing.F) {
 	for _, s := range []string{
 		"%PDF-1.7 blah",
@@ -85,6 +88,11 @@ func FuzzSniff(f *testing.F) {
 		strings.Repeat("\u212A", 20) + "<html>",
 		"\uFEFF<!DOCTYPE HTML>",
 		"\xff\xfe<?XML version=\"1.0\"?>",
+		// Lines at the edge of the 19 that sniffDelimited reads: the
+		// 20th and 21st disagree on the delimiter count, and in the
+		// second window the 19th line tips it from CSV to unknown.
+		strings.Repeat("a,b\n", 19) + "a,b,c,d\n" + "a\tb\n",
+		strings.Repeat("a,b\n", 15) + strings.Repeat("x\n", 4) + "a,b\n",
 	} {
 		f.Add([]byte(s))
 	}

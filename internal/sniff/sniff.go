@@ -47,6 +47,10 @@ func (f Format) IsTabular() bool { return f == FormatCSV || f == FormatTSV }
 // sniffLimit bounds how much of the content Detect inspects.
 const sniffLimit = 64 << 10
 
+// sniffLines is how many leading lines (the last of them dropped as
+// possibly partial) decide between CSV and TSV.
+const sniffLines = 20
+
 // markupPrefixLimit bounds how many leading bytes Detect lowercases to
 // match the HTML and XML prefixes.
 const markupPrefixLimit = 64
@@ -98,6 +102,11 @@ func Detect(data []byte) Format {
 
 	if !looksLikeText(data) {
 		return FormatBinary
+	}
+	// sniffDelimited reads only the first sniffLines lines: cut the
+	// rest of the window before converting it.
+	if parts := bytes.SplitN(data, []byte("\n"), sniffLines+1); len(parts) > sniffLines {
+		data = data[:len(data)-len(parts[sniffLines])]
 	}
 	if f, ok := sniffDelimited(string(data)); ok {
 		return f
@@ -152,8 +161,8 @@ func looksLikeText(data []byte) bool {
 // consistent delimiter count across the first lines.
 func sniffDelimited(s string) (Format, bool) {
 	lines := strings.Split(s, "\n")
-	if len(lines) > 20 {
-		lines = lines[:20]
+	if len(lines) > sniffLines {
+		lines = lines[:sniffLines]
 	}
 	// Drop a trailing partial line (we may have truncated mid-line).
 	if len(lines) > 1 {

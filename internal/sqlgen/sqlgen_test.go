@@ -100,13 +100,14 @@ func TestSchemaOfBCNFDecomposition(t *testing.T) {
 	if res.InBCNF() {
 		t.Fatal("expected decomposition")
 	}
-	ddl := Schema(res.Tables, Options{ForeignKeys: true})
+	subs := res.Tables()
+	ddl := Schema(subs, Options{ForeignKeys: true})
 	if !strings.Contains(ddl, "CREATE TABLE") {
 		t.Fatalf("no DDL:\n%s", ddl)
 	}
 	count := strings.Count(ddl, "CREATE TABLE")
-	if count != len(res.Tables) {
-		t.Errorf("CREATE TABLE count = %d, want %d", count, len(res.Tables))
+	if count != len(subs) {
+		t.Errorf("CREATE TABLE count = %d, want %d", count, len(subs))
 	}
 }
 

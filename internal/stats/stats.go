@@ -59,22 +59,6 @@ func percentileSorted(sorted []float64, p float64) float64 {
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
-// Percentiles computes several percentiles in one pass over a single
-// sorted copy. ps are percentile ranks in 0..100.
-func Percentiles(xs []float64, ps ...float64) []float64 {
-	out := make([]float64, len(ps))
-	if len(xs) == 0 {
-		return out
-	}
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
-	sort.Float64s(sorted)
-	for i, p := range ps {
-		out[i] = percentileSorted(sorted, p)
-	}
-	return out
-}
-
 // Median is Percentile(xs, 50).
 func Median(xs []float64) float64 { return Percentile(xs, 50) }
 

@@ -95,7 +95,7 @@ func TestConcurrentBuildExactlyOnce(t *testing.T) {
 				tb.DistinctCount([]int{c})
 			}
 			tb.DistinctCount([]int{0, 1})
-			tb.DistinctRows([]int{0, 1})
+			tb.DistinctProject([]int{0, 1})
 			v.key = tb.SchemaKey()
 			views[g] = v
 		}(g)
@@ -157,9 +157,10 @@ func TestCanonCodesConcurrentIdentical(t *testing.T) {
 	}
 }
 
-// TestProjectSharesPublishedCaches: projecting a table must hand the
-// child the parent's already-published (immutable) encodings and
-// profiles instead of recomputing them.
+// TestProjectSharesPublishedCaches: a projection that drops no row
+// must hand the child the parent's already-published (immutable)
+// encodings and profiles instead of recomputing them; one that drops
+// rows gathers them and builds its own.
 func TestProjectSharesPublishedCaches(t *testing.T) {
 	tb := stressTable(5, 50)
 	for c := 0; c < tb.NumCols(); c++ {
@@ -170,7 +171,10 @@ func TestProjectSharesPublishedCaches(t *testing.T) {
 	SetBuildObserver(obs)
 	t.Cleanup(func() { SetBuildObserver(nil) })
 
-	proj := tb.Project([]int{3, 1})
+	proj := tb.DistinctProject([]int{3, 1}) // every (c3, c1) pair is distinct
+	if proj.NumRows() != tb.NumRows() {
+		t.Fatalf("projection has %d rows, want all %d", proj.NumRows(), tb.NumRows())
+	}
 	if proj.Encoding(0) != tb.Encoding(3) || proj.Encoding(1) != tb.Encoding(1) {
 		t.Error("projection did not share the parent's published encodings")
 	}
@@ -180,19 +184,28 @@ func TestProjectSharesPublishedCaches(t *testing.T) {
 	if n := obs.builds(BuildEncode) + obs.builds(BuildProfile); n != 0 {
 		t.Errorf("projection rebuilt %d shared caches", n)
 	}
+
+	dedup := tb.DistinctProject([]int{0, 2}) // the pair repeats every 20 rows
+	if dedup.NumRows() != 20 {
+		t.Fatalf("deduplicated projection has %d rows, want 20", dedup.NumRows())
+	}
+	if dedup.Encoding(0) == tb.Encoding(0) || dedup.Profile(1) == tb.Profile(2) {
+		t.Error("deduplicated projection shares the parent's caches over all its rows")
+	}
 }
 
-// TestViewsProfileConcurrently: a table and its Project and
-// SelectRows views (Project shares cell slices and the caches
-// published before it; SelectRows shares the cell strings), and
-// goroutines profile all of them at once. Every profile must equal a cold sequential build of the same
-// view; under -race this also shows the shared cells are only read.
+// TestViewsProfileConcurrently: a table and two DistinctProject views
+// of it, one dropping no row (it shares cell slices and the caches
+// published before it) and one keeping 20 of 300 rows (it shares the
+// cell strings), and goroutines profile all of them at once. Every profile
+// must equal a cold sequential build of the same view; under -race
+// this also shows the shared cells are only read.
 func TestViewsProfileConcurrently(t *testing.T) {
 	const goroutines = 8
 	views := func() []*Table {
 		tb := stressTable(5, 300)
-		tb.Profile(0) // published before projecting, so Project shares it
-		return []*Table{tb, tb.Project([]int{4, 0, 2}), tb.SelectRows([]int{5, 3, 299, 0, 3})}
+		tb.Profile(0) // published before projecting, so the shared view takes it
+		return []*Table{tb, tb.DistinctProject([]int{4, 0, 3, 2}), tb.DistinctProject([]int{2, 0})}
 	}
 	hot := views()
 
@@ -213,11 +226,20 @@ func TestViewsProfileConcurrently(t *testing.T) {
 
 	for i, cold := range views() {
 		for c := 0; c < cold.NumCols(); c++ {
-			if !reflect.DeepEqual(hot[i].Profile(c), cold.Profile(c)) {
+			if !sameProfile(hot[i].Profile(c), cold.Profile(c)) {
 				t.Fatalf("view %d, column %d: concurrent profile differs from a sequential one", i, c)
 			}
 		}
 	}
+}
+
+// sameProfile reports whether two profiles agree in every field and
+// their encodings in content. DeepEqual would compare the encodings'
+// lazily published canonical streams by address.
+func sameProfile(a, b *ColumnProfile) bool {
+	x, y := *a, *b
+	x.enc, y.enc = nil, nil
+	return x == y && reflect.DeepEqual(valueOf(a.enc), valueOf(b.enc))
 }
 
 // encodingValue is a deep copy of an Encoding's contents.

@@ -241,20 +241,18 @@ func (t *Table) partitionBy(cols []int) *Partition {
 	return p
 }
 
-// DistinctRows returns the first row of every distinct tuple of the
-// projection onto cols, in ascending order: the rows a duplicate-free
-// projection keeps. Null spellings compare equal (canonical codes).
-// With no columns it returns the first row, if any.
-func (t *Table) DistinctRows(cols []int) []int {
-	n := t.NumRows()
-	if n == 0 {
-		return nil
-	}
+// distinctRows returns the first row of every distinct tuple of the
+// projection onto cols, ascending, or nil when no row repeats an
+// earlier row's tuple. With no columns it keeps no row.
+func (t *Table) distinctRows(cols []int) []int {
 	if len(cols) == 0 {
-		return []int{0}
+		return []int{}
 	}
 	p := t.partitionBy(cols)
-	drop := make([]bool, n)
+	if p.Err() == 0 {
+		return nil
+	}
+	drop := make([]bool, t.NumRows())
 	start := int32(0)
 	for _, end := range p.ends {
 		// Rows ascend within a class, so the first is the one kept.
@@ -263,7 +261,7 @@ func (t *Table) DistinctRows(cols []int) []int {
 		}
 		start = end
 	}
-	keep := make([]int, 0, n-p.Err())
+	keep := make([]int, 0, t.NumRows()-p.Err())
 	for r, d := range drop {
 		if !d {
 			keep = append(keep, r)

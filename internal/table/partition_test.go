@@ -127,7 +127,9 @@ func seq(n int) []int {
 }
 
 // TestDistinctRowsAndCountAgainstNaive checks the table-level kernel
-// on random projections, including 1-row and all-duplicate tables.
+// on random projections, including 1-row and all-duplicate tables:
+// DistinctProject keeps the first row of every distinct tuple, raw
+// cells as they are.
 func TestDistinctRowsAndCountAgainstNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	tables := []*Table{
@@ -140,15 +142,19 @@ func TestDistinctRowsAndCountAgainstNaive(t *testing.T) {
 	for i, tb := range tables {
 		cols := rng.Perm(tb.NumCols())[:1+rng.Intn(tb.NumCols())]
 		seen := map[string]bool{}
-		var want []int
+		var want [][]string
 		for r := 0; r < tb.NumRows(); r++ {
 			if k := naiveKey(tb, cols, r); !seen[k] {
 				seen[k] = true
-				want = append(want, r)
+				row := make([]string, len(cols))
+				for j, c := range cols {
+					row[j] = tb.Value(c, r)
+				}
+				want = append(want, row)
 			}
 		}
-		if got := tb.DistinctRows(cols); !reflect.DeepEqual(got, want) {
-			t.Fatalf("table %d cols %v: DistinctRows = %v, want %v", i, cols, got, want)
+		if got := tb.DistinctProject(cols).Rows(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("table %d cols %v: DistinctProject rows = %v, want %v", i, cols, got, want)
 		}
 		if got := tb.DistinctCount(cols); got != len(want) {
 			t.Fatalf("table %d cols %v: DistinctCount = %d, want %d", i, cols, got, len(want))

@@ -8,7 +8,7 @@
 // distinct counts and duplicate removal.
 //
 // A table is immutable once constructed: New takes its cells, every
-// other constructor (FromRows, Project, SelectRows, FromEncodings) is
+// other constructor (FromRows, DistinctProject, FromEncodings) is
 // built on it, and the raw cell store is unexported,
 // so no code outside this package can write a cell after the caches
 // over it exist. Raw strings are reachable only through Value, Column,
@@ -35,8 +35,8 @@
 //     goroutines and must treat them as read-only.
 //
 // Because the cells never change, a published cache never goes stale,
-// and tables may share cell slices and published caches (Project)
-// with each other.
+// and tables may share cell slices and published caches
+// (DistinctProject) with each other.
 package table
 
 import (
@@ -62,8 +62,7 @@ type RaggedCells struct {
 // The cells cannot change after construction (see the package
 // comment), so every method is safe for concurrent use: the lazy
 // caches behind Profile, Profiles, Encoding, CanonCodes, SchemaKey,
-// DistinctCount and DistinctRows are lock-free after first
-// publication.
+// and DistinctCount are lock-free after first publication.
 type Table struct {
 	// Name identifies the table (typically the resource file name).
 	Name string
@@ -110,21 +109,16 @@ func New(name string, cols []string, data [][]string) *Table {
 	if len(data) != len(cols) {
 		panic(fmt.Sprintf("table %s: %d columns of cells for %d names", name, len(data), len(cols)))
 	}
-	rows := colLen(data)
+	rows := 0
+	if len(data) > 0 {
+		rows = len(data[0])
+	}
 	for c, col := range data {
 		if len(col) != rows {
 			panic(fmt.Sprintf("table %s: column %d has %d rows, column 0 has %d", name, c, len(col), rows))
 		}
 	}
 	return newTable(name, cols, data, rows, nil, nil)
-}
-
-// colLen is the length of the first column of data, 0 without columns.
-func colLen(data [][]string) int {
-	if len(data) == 0 {
-		return 0
-	}
-	return len(data[0])
 }
 
 // newTable is the one place a table and its cache slots are allocated.
@@ -216,42 +210,49 @@ func (t *Table) Rows() [][]string {
 	return rows
 }
 
-// Project returns a new table with only the given column indices, in
-// the given order. Cell slices are shared with the receiver, and so
-// are any column profiles and encodings already published (both are
-// immutable, so sharing them across tables is safe).
-func (t *Table) Project(cols []int) *Table {
-	d := t.data()
+// DistinctProject returns the deduplicated projection of t onto cols,
+// column indices in the given order: the first row of every distinct
+// tuple of those columns, in row order, with every null spelling equal
+// (canonical codes). When no row is dropped the result shares t's
+// storage (its cell slices, or an encoding-backed t's encodings) and
+// every encoding and profile t has already published; all of them are
+// immutable, so sharing them across tables is safe. Otherwise the kept
+// rows are gathered into fresh columns, an encoding-backed t read
+// through its dictionaries without materializing its cells. With no
+// columns the result has no rows.
+func (t *Table) DistinctProject(cols []int) *Table {
 	names := make([]string, len(cols))
 	data := make([][]string, len(cols))
-	encs := make([]*Encoding, len(cols))
-	profs := make([]*ColumnProfile, len(cols))
 	for i, c := range cols {
 		names[i] = t.Cols[c]
-		data[i] = d[c]
-		encs[i] = t.slots[c].enc.Load()
-		profs[i] = t.slots[c].prof.Load()
 	}
-	p := newTable(t.Name, names, data, colLen(data), encs, profs)
+	var p *Table
+	if keep := t.distinctRows(cols); keep != nil {
+		for i, c := range cols {
+			data[i] = make([]string, len(keep))
+			for k, r := range keep {
+				data[i][k] = t.Value(c, r)
+			}
+		}
+		p = New(t.Name, names, data)
+	} else {
+		encs := make([]*Encoding, len(cols))
+		profs := make([]*ColumnProfile, len(cols))
+		ext := t.ext.Load()
+		for i, c := range cols {
+			encs[i], profs[i] = t.slots[c].enc.Load(), t.slots[c].prof.Load()
+			if !ext {
+				data[i] = t.cells[c]
+			}
+		}
+		if ext {
+			data = nil // every encoding is published: share those, and no cells
+		}
+		p = newTable(t.Name, names, data, t.rows, encs, profs)
+		p.ext.Store(ext)
+	}
 	p.DatasetID = t.DatasetID
 	return p
-}
-
-// SelectRows returns a new table containing the given rows of t, in
-// the given order. Cell values are copied into fresh columns.
-func (t *Table) SelectRows(rows []int) *Table {
-	d := t.data()
-	data := make([][]string, len(d))
-	for c, src := range d {
-		col := make([]string, len(rows))
-		for i, r := range rows {
-			col[i] = src[r]
-		}
-		data[c] = col
-	}
-	out := New(t.Name, t.Cols, data)
-	out.DatasetID = t.DatasetID
-	return out
 }
 
 // ColumnProfile is the cached per-column profile used throughout the

@@ -3,6 +3,7 @@ package table
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -108,12 +109,18 @@ func TestEmptyProfile(t *testing.T) {
 
 func TestProject(t *testing.T) {
 	tb := sample()
-	p := tb.Project([]int{2, 0})
+	p := tb.DistinctProject([]int{2, 0})
 	if p.NumCols() != 2 || p.Cols[0] != "province" || p.Cols[1] != "id" {
-		t.Errorf("Project cols = %v", p.Cols)
+		t.Errorf("DistinctProject cols = %v", p.Cols)
 	}
-	if p.Value(0, 0) != "ON" || p.Value(1, 3) != "4" {
-		t.Errorf("Project data wrong")
+	if p.NumRows() != 4 || p.Value(0, 0) != "ON" || p.Value(1, 3) != "4" {
+		t.Errorf("DistinctProject data wrong")
+	}
+	// Row 3 repeats row 0's city and province and is dropped.
+	d := tb.DistinctProject([]int{1, 2})
+	want := [][]string{{"Waterloo", "ON"}, {"Toronto", "ON"}, {"Montreal", "QC"}}
+	if got := d.Rows(); !reflect.DeepEqual(got, want) {
+		t.Errorf("DistinctProject rows = %v, want %v", got, want)
 	}
 }
 

@@ -38,8 +38,8 @@ func TestFDAndBCNFFacade(t *testing.T) {
 		t.Fatal("no FDs discovered")
 	}
 	res := DecomposeBCNF(tb, 1)
-	if res.InBCNF() || len(res.Tables) < 2 {
-		t.Errorf("decomposition = %d tables", len(res.Tables))
+	if res.InBCNF() || len(res.Parts) < 2 {
+		t.Errorf("decomposition = %d tables", len(res.Parts))
 	}
 }
 
