@@ -25,7 +25,6 @@ import (
 	"ogdp/internal/gen"
 	"ogdp/internal/join"
 	"ogdp/internal/keys"
-	"ogdp/internal/minhash"
 	"ogdp/internal/normalize"
 	"ogdp/internal/profile"
 	"ogdp/internal/rank"
@@ -562,77 +561,6 @@ func BenchmarkExtensionTopKSearch(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(eng.NumIndexed()), "indexed-columns")
-}
-
-// BenchmarkAblationExactVsLSH compares exact prefix-filter joinability
-// search against MinHash/LSH approximation on the same corpus,
-// reporting the approximation's pair recall.
-func BenchmarkAblationExactVsLSH(b *testing.B) {
-	ca := benchCorpora()[1]
-	tables := ca.Tables()
-	b.Run("exact", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			join.Find(tables, join.Options{})
-		}
-	})
-	b.Run("lsh", func(b *testing.B) {
-		type ref struct{ t, c int }
-		for i := 0; i < b.N; i++ {
-			ix := minhash.NewIndex(16, 8)
-			var refs []ref
-			for ti, t := range tables {
-				for ci := range t.Cols {
-					p := t.Profile(ci)
-					if p.Distinct < join.DefaultMinUnique {
-						continue
-					}
-					ix.Add(minhash.Sketch(p.ValueHashes(), 128))
-					refs = append(refs, ref{ti, ci})
-				}
-			}
-			ix.AllPairs(0.85)
-		}
-	})
-	// Recall of the approximation, reported on a dedicated sub-bench
-	// (metrics attached to a parent with only sub-runs are dropped).
-	b.Run("recall", func(b *testing.B) {
-		var recall float64
-		for i := 0; i < b.N; i++ {
-			exact := join.Find(tables, join.Options{}).Pairs
-			type ref struct{ t, c int }
-			ix := minhash.NewIndex(16, 8)
-			var refs []ref
-			for ti, t := range tables {
-				for ci := range t.Cols {
-					p := t.Profile(ci)
-					if p.Distinct < join.DefaultMinUnique {
-						continue
-					}
-					ix.Add(minhash.Sketch(p.ValueHashes(), 128))
-					refs = append(refs, ref{ti, ci})
-				}
-			}
-			approx := map[[4]int]bool{}
-			for _, p := range ix.AllPairs(0.85) {
-				a, bb := refs[p[0]], refs[p[1]]
-				k := [4]int{a.t, a.c, bb.t, bb.c}
-				if k[2] < k[0] || (k[2] == k[0] && k[3] < k[1]) {
-					k = [4]int{k[2], k[3], k[0], k[1]}
-				}
-				approx[k] = true
-			}
-			hit := 0
-			for _, p := range exact {
-				if approx[[4]int{p.T1, p.C1, p.T2, p.C2}] {
-					hit++
-				}
-			}
-			if len(exact) > 0 {
-				recall = 100 * float64(hit) / float64(len(exact))
-			}
-		}
-		b.ReportMetric(recall, "lsh-recall-%")
-	})
 }
 
 func BenchmarkExtension3NFSynthesis(b *testing.B) {

@@ -48,7 +48,6 @@ var studyPackages = map[string]bool{
 	"ogdp/internal/profile":  true,
 	"ogdp/internal/stats":    true,
 	"ogdp/internal/classify": true,
-	"ogdp/internal/minhash":  true,
 	"ogdp/internal/search":   true,
 	"ogdp/internal/rank":     true,
 	"ogdp/internal/query":    true,

@@ -190,6 +190,21 @@ func (c *Client) FetchAll() ([]*FetchedTable, FunnelStats, error) {
 // unreachable package_list (there is nothing to crawl) and context
 // cancellation.
 func (c *Client) FetchAllContext(ctx context.Context) ([]*FetchedTable, FunnelStats, error) {
+	return c.crawl(ctx, true)
+}
+
+// Funnel crawls the portal under ctx like FetchAllContext and returns
+// only its statistics. Bodies are sniffed and parsed as FetchAll does,
+// but through csvio.ReadShape, so no table is built; the counters,
+// ledger and trace spans it records equal FetchAll's.
+func (c *Client) Funnel(ctx context.Context) (FunnelStats, error) {
+	_, stats, err := c.crawl(ctx, false)
+	return stats, err
+}
+
+// crawl is the pipeline behind FetchAllContext and Funnel; keep
+// selects whether readable bodies become tables or are only counted.
+func (c *Client) crawl(ctx context.Context, keep bool) ([]*FetchedTable, FunnelStats, error) {
 	var stats FunnelStats
 	spanList := c.Trace.Child(StagePackageList)
 	ids, lt, err := c.packageList(ctx)
@@ -262,10 +277,12 @@ func (c *Client) FetchAllContext(ctx context.Context) ([]*FetchedTable, FunnelSt
 
 	// Stage 2: downloads and parsing over the same pool.
 	type fetchResult struct {
-		ft    *FetchedTable
-		wide  bool
-		tally tally
-		err   error
+		table    *table.Table // nil unless keep
+		readable bool
+		wide     bool
+		size     int64
+		tally    tally
+		err      error
 	}
 	results, err := parallel.Map(ctx, len(work), c.Workers, func(i int) fetchResult {
 		w := work[i]
@@ -274,7 +291,8 @@ func (c *Client) FetchAllContext(ctx context.Context) ([]*FetchedTable, FunnelSt
 		if err != nil {
 			return r
 		}
-		r.ft, r.wide = c.process(w.res.ID, w.res.Name, body.Bytes())
+		r.size = int64(body.Len())
+		r.table, r.readable, r.wide = c.process(w.res.Name, body.Bytes(), keep)
 		putBody(body)
 		return r
 	})
@@ -299,18 +317,20 @@ func (c *Client) FetchAllContext(ctx context.Context) ([]*FetchedTable, FunnelSt
 			stats.TooWide++
 			continue
 		}
-		if r.ft == nil {
+		if !r.readable {
 			continue
 		}
 		stats.Readable++
-		r.ft.DatasetID = w.pkg.ID
-		r.ft.DatasetTitle = w.pkg.Title
-		r.ft.Published = w.published
-		r.ft.Table.DatasetID = w.pkg.ID
-		spanDownload.AddBytes(r.ft.RawSize)
-		out = append(out, r.ft)
+		spanDownload.AddBytes(r.size)
+		if keep {
+			r.table.DatasetID = w.pkg.ID
+			out = append(out, &FetchedTable{
+				DatasetID: w.pkg.ID, DatasetTitle: w.pkg.Title, Published: w.published,
+				Resource: w.res.ID, Table: r.table, RawSize: r.size,
+			})
+		}
 	}
-	spanDownload.AddItems(len(out))
+	spanDownload.AddItems(stats.Readable)
 	spanDownload.End()
 	c.recordFunnel(stats)
 	return out, stats, nil
@@ -361,28 +381,35 @@ func parseCreated(s string) (time.Time, bool) {
 }
 
 // process runs sniffing, header inference and parsing over one
-// downloaded body. It returns (nil, true) for wide-table rejections and
-// (nil, false) for other unreadable resources.
-func (c *Client) process(resID, name string, body []byte) (*FetchedTable, bool) {
+// downloaded body: a resource is readable when it parses into a table
+// with at least one column and one row, and wide when the wide-table
+// cutoff rejects it. With keep the readable table is returned; without,
+// the body is parsed by csvio.ReadShape and no table is built.
+func (c *Client) process(name string, body []byte, keep bool) (t *table.Table, readable, wide bool) {
 	format := sniff.Detect(body)
 	if !format.IsTabular() {
-		return nil, false
+		return nil, false, false
 	}
 	opts := c.ReadOptions
 	if format == sniff.FormatTSV {
 		opts.Comma = '\t'
 	}
-	t, err := csvio.ReadWith(name, bytes.NewReader(body), opts)
-	if err != nil {
-		if errors.Is(err, csvio.ErrTooWide) {
-			return nil, true
+	var shape csvio.Shape
+	var err error
+	if keep {
+		if t, err = csvio.ReadWith(name, bytes.NewReader(body), opts); err == nil {
+			shape = csvio.Shape{Cols: t.NumCols(), Rows: t.NumRows()}
 		}
-		return nil, false
+	} else {
+		shape, err = csvio.ReadShape(name, bytes.NewReader(body), opts)
 	}
-	if t.NumCols() == 0 || t.NumRows() == 0 {
-		return nil, false
+	if err != nil {
+		return nil, false, errors.Is(err, csvio.ErrTooWide)
 	}
-	return &FetchedTable{Resource: resID, Table: t, RawSize: int64(len(body))}, false
+	if shape.Cols == 0 || shape.Rows == 0 {
+		return nil, false, false
+	}
+	return t, true, false
 }
 
 func (c *Client) packageList(ctx context.Context) ([]string, tally, error) {

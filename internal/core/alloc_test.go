@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math/rand"
 	"net/http/httptest"
@@ -14,6 +15,7 @@ import (
 	"ogdp/internal/classify"
 	"ogdp/internal/csvio"
 	"ogdp/internal/gen"
+	"ogdp/internal/ind"
 	"ogdp/internal/join"
 	"ogdp/internal/sniff"
 	"ogdp/internal/table"
@@ -82,22 +84,7 @@ func TestAllocsGenGenerate(t *testing.T) {
 func TestAllocsFunnelRefetch(t *testing.T) {
 	skipAllocTest(t)
 	const ceiling = 0.2 // bytes beyond parsing per body byte; measured 0.12, 1.17 with a fresh buffer per body
-	p := &ckan.Portal{Name: "T"}
-	for i := 0; i < 6; i++ {
-		cols := []string{"id", "name", "amount", "region", "note"}
-		data := make([][]string, len(cols))
-		for c := range data {
-			data[c] = make([]string, 3000)
-			for r := range data[c] {
-				data[c][r] = fmt.Sprintf("%s-%d-%d", cols[c], i, r)
-			}
-		}
-		tb := table.New(fmt.Sprintf("t%d.csv", i), cols, data)
-		id := fmt.Sprintf("r%d", i)
-		p.Datasets = append(p.Datasets, &ckan.Dataset{ID: "d" + id, Resources: []*ckan.Resource{{
-			ID: id, Name: tb.Name, Format: "CSV", URL: "/download/" + id, Table: tb, Size: csvio.Size(tb),
-		}}})
-	}
+	p := funnelPortal()
 	srv := httptest.NewServer(ckan.NewServer(p))
 	defer srv.Close()
 	client := ckan.NewClient(srv.URL)
@@ -135,6 +122,99 @@ func TestAllocsFunnelRefetch(t *testing.T) {
 	})
 	if perByte := (float64(n) - float64(parse)) / float64(size); perByte > ceiling {
 		t.Errorf("second FetchAll allocated %d bytes, parsing alone %d, for %d body bytes: %.2f extra per byte, ceiling %.1f", n, parse, size, perByte, ceiling)
+	}
+}
+
+// TestAllocsFunnelCountOnly (layer ckan.funnel_s): the count-only
+// crawl the study's funnel runs parses every body without building a
+// table, so all it allocates per body byte, parsing included, stays
+// well below what FetchAll's table path allocates.
+func TestAllocsFunnelCountOnly(t *testing.T) {
+	skipAllocTest(t)
+	const ceiling = 2.5 // bytes per body byte; measured 1.62, 5.24 for FetchAll
+	p := funnelPortal()
+	srv := httptest.NewServer(ckan.NewServer(p))
+	defer srv.Close()
+	client := ckan.NewClient(srv.URL)
+	client.Workers = 1
+	// As in TestAllocsFunnelRefetch: the second crawl reuses the first
+	// one's pooled body buffers.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	ctx := context.Background()
+	if _, err := client.Funnel(ctx); err != nil {
+		t.Fatal(err)
+	}
+	var st ckan.FunnelStats
+	var err error
+	n := allocBytes(func() { st, err = client.Funnel(ctx) })
+	if err != nil || st.Readable != 6 {
+		t.Fatalf("second Funnel: %d readable, %v", st.Readable, err)
+	}
+	var size int64
+	for _, d := range p.Datasets {
+		size += d.Resources[0].Size
+	}
+	if perByte := float64(n) / float64(size); perByte > ceiling {
+		t.Errorf("second Funnel allocated %d bytes for %d body bytes: %.2f per byte, ceiling %.1f", n, size, perByte, ceiling)
+	}
+}
+
+// funnelPortal serves six readable 3000-row tables of five columns.
+func funnelPortal() *ckan.Portal {
+	p := &ckan.Portal{Name: "T"}
+	for i := 0; i < 6; i++ {
+		cols := []string{"id", "name", "amount", "region", "note"}
+		data := make([][]string, len(cols))
+		for c := range data {
+			data[c] = make([]string, 3000)
+			for r := range data[c] {
+				data[c][r] = fmt.Sprintf("%s-%d-%d", cols[c], i, r)
+			}
+		}
+		tb := table.New(fmt.Sprintf("t%d.csv", i), cols, data)
+		id := fmt.Sprintf("r%d", i)
+		p.Datasets = append(p.Datasets, &ckan.Dataset{ID: "d" + id, Resources: []*ckan.Resource{{
+			ID: id, Name: tb.Name, Format: "CSV", URL: "/download/" + id, Table: tb, Size: csvio.Size(tb),
+		}}})
+	}
+	return p
+}
+
+// TestAllocsINDFindFlat (layer ind.discover_s): IND discovery keeps
+// postings only for the dependent columns' smallest value hashes, so
+// on corpora of the same columns and dependencies it allocates no more
+// at 5000 distinct values per column than at 50.
+func TestAllocsINDFindFlat(t *testing.T) {
+	skipAllocTest(t)
+	const ceiling = 40 // allocations per call; measured 24 and 20, 430 and 40291 with postings over every hash
+	var allocs []float64
+	for _, distinct := range []int{50, 5000} {
+		// Eight lookup/fact pairs: each fact column holds every other
+		// key of its lookup, so it is included in it and not back.
+		var tables []*table.Table
+		for i := 0; i < 8; i++ {
+			keys, facts := make([]string, distinct), make([]string, distinct)
+			for r := range keys {
+				keys[r] = fmt.Sprintf("k%d-%d", i, r)
+				facts[r] = fmt.Sprintf("k%d-%d", i, r/2*2)
+			}
+			tables = append(tables,
+				table.New(fmt.Sprintf("lookup%d.csv", i), []string{"key"}, [][]string{keys}),
+				table.New(fmt.Sprintf("fact%d.csv", i), []string{"key"}, [][]string{facts}))
+		}
+		var inds []ind.IND
+		n := testing.AllocsPerRun(5, func() { inds = ind.Find(tables, ind.Options{}) })
+		if len(inds) != 8 {
+			t.Fatalf("%d distinct values: %d INDs, want 8", distinct, len(inds))
+		}
+		if n > ceiling {
+			t.Errorf("ind.Find at %d distinct values: %v allocations per call, ceiling %d", distinct, n, ceiling)
+		}
+		allocs = append(allocs, n)
+	}
+	if allocs[1] > allocs[0] {
+		t.Errorf("ind.Find allocations grew with the distinct values: %v at 50, %v at 5000", allocs[0], allocs[1])
 	}
 }
 

@@ -620,7 +620,8 @@ func profileCorpus(portal string, metas []corpus.TableMeta, compressed []int64) 
 }
 
 // measureFunnel serves the corpus through a CKAN API server and runs
-// the acquisition pipeline against it. The fetch client shares the
+// the acquisition pipeline against it, counting readable resources
+// without building their tables. The fetch client shares the
 // study's worker bound and is deterministic for every value of it;
 // its metrics land in the study registry under the portal label, and
 // its stage spans under the given span. Sources without the
@@ -641,7 +642,7 @@ func measureFunnel(src corpus.Source, portalName string, opts Options, span *obs
 	client.MetricLabels = []string{"portal", portalName}
 	client.Trace = span
 	client.Now = opts.Clock
-	_, st, err := client.FetchAll()
+	st, err := client.Funnel(context.Background())
 	span.End()
 	if err != nil {
 		return profile.FunnelCounts{}

@@ -75,96 +75,199 @@ func Read(name string, r io.Reader) (*table.Table, error) {
 
 // ReadBytes parses an in-memory CSV document.
 func ReadBytes(name string, data []byte) (*table.Table, error) {
-	return ReadWith(name, strings.NewReader(string(data)), Options{})
+	return ReadWith(name, bytes.NewReader(data), Options{})
 }
 
 // ReadWith parses one CSV document into a table.
 func ReadWith(name string, r io.Reader, opts Options) (*table.Table, error) {
-	opts = opts.withDefaults()
+	sc, err := scan(name, r, opts, true)
+	if err != nil {
+		return nil, err
+	}
+	width, err := sc.keptCols(opts)
+	if err != nil {
+		return nil, err
+	}
+	header := make([]string, width)
+	for c := range header {
+		if header[c] = strings.TrimSpace(sc.header[c]); header[c] == "" {
+			header[c] = fmt.Sprintf("column_%d", c+1)
+		}
+	}
+	data := make([][]string, width)
+	for c := range data {
+		data[c] = make([]string, len(sc.data))
+	}
+	// Short rows leave their missing cells "", the padding step 1 asks
+	// for; long rows lose their surplus cells.
+	for r, rec := range sc.data {
+		for c, v := range rec[:min(len(rec), width)] {
+			data[c][r] = v
+		}
+	}
+	t := table.New(name, header, data)
+	t.Ragged = sc.ragged
+	return t, nil
+}
 
+// Shape is the size of the table ReadWith would build.
+type Shape struct {
+	Cols, Rows int
+}
+
+// ReadShape runs ReadWith's pipeline over r and returns the shape of
+// the table ReadWith would build, or ReadWith's error, without keeping
+// any cell: it is what counting readable resources needs.
+func ReadShape(name string, r io.Reader, opts Options) (Shape, error) {
+	sc, err := scan(name, r, opts, false)
+	if err != nil {
+		return Shape{}, err
+	}
+	cols, err := sc.keptCols(opts)
+	if err != nil {
+		return Shape{}, err
+	}
+	return Shape{Cols: cols, Rows: sc.rows}, nil
+}
+
+// scanned is what scan learns about a document's data rows.
+type scanned struct {
+	header  []string   // the header record, width cells
+	data    [][]string // the data rows, when kept
+	rows    int        // data rows, at most MaxRows
+	maxRows int        // MaxRows; 0 counts every row
+	filled  int        // columns up to the last one holding a non-null cell
+	ragged  table.RaggedCells
+}
+
+// scan runs the pipeline's row steps over r. It buffers only the first
+// HeaderScanRows records, which width and header inference need. Every
+// data row after the header, up to MaxRows of them, is counted and
+// checked for ragged and non-null cells. With keep, later records are
+// buffered too and the data rows returned; otherwise, and whenever the
+// document is rejected, later records are read into one reused slice.
+// Every record up to the read limit is parsed, so a parse error takes
+// precedence over the wide-table and header verdicts.
+func scan(name string, r io.Reader, opts Options, keep bool) (*scanned, error) {
+	opts = opts.withDefaults()
 	cr := csv.NewReader(r)
 	cr.Comma = opts.Comma
 	cr.FieldsPerRecord = -1 // tolerate ragged rows; we fix widths ourselves
 	cr.LazyQuotes = true
+	limit := -1 // records to read; negative reads to EOF
+	if opts.MaxRows > 0 {
+		limit = opts.MaxRows + opts.HeaderScanRows + 1
+	}
+	read := 0
+	next := func() ([]string, error) {
+		if read == limit {
+			return nil, io.EOF
+		}
+		rec, err := cr.Read()
+		if err == nil {
+			read++
+		} else if err != io.EOF {
+			err = fmt.Errorf("csvio: parsing %s: %w", name, err)
+		}
+		return rec, err
+	}
 
 	var records [][]string
-	for {
-		rec, err := cr.Read()
+	for len(records) < opts.HeaderScanRows {
+		rec, err := next()
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
-			return nil, fmt.Errorf("csvio: parsing %s: %w", name, err)
+			return nil, err
 		}
 		records = append(records, rec)
-		if opts.MaxRows > 0 && len(records) > opts.MaxRows+opts.HeaderScanRows {
-			break
-		}
 	}
 	if len(records) == 0 {
 		return nil, ErrEmpty
 	}
-
-	width := inferWidth(records, opts.HeaderScanRows)
-	if opts.MaxColumns > 0 && width >= opts.MaxColumns {
-		return nil, fmt.Errorf("%w: %d columns", ErrTooWide, width)
-	}
-
-	headerIdx := inferHeader(records, width, opts.HeaderScanRows)
-	if headerIdx < 0 {
-		return nil, ErrNoHeader
-	}
-
-	header := normalizeRow(records[headerIdx], width)
-	for i, h := range header {
-		header[i] = strings.TrimSpace(h)
-		if header[i] == "" {
-			header[i] = fmt.Sprintf("column_%d", i+1)
+	var sc *scanned
+	width := inferWidth(records)
+	headerIdx := inferHeader(records, width)
+	var verdict error
+	switch {
+	case opts.MaxColumns > 0 && width >= opts.MaxColumns:
+		verdict = fmt.Errorf("%w: %d columns", ErrTooWide, width)
+	case headerIdx < 0:
+		verdict = ErrNoHeader
+	default:
+		sc = &scanned{header: records[headerIdx], maxRows: opts.MaxRows}
+		for _, rec := range records[headerIdx+1:] {
+			sc.add(rec)
 		}
 	}
-
-	data := make([][]string, width)
-	for c := range data {
-		data[c] = make([]string, 0, len(records)-headerIdx-1)
+	keep = keep && sc != nil
+	cr.ReuseRecord = !keep
+	for {
+		rec, err := next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, err
+		}
+		if sc != nil {
+			sc.add(rec)
+		}
+		if keep {
+			records = append(records, rec)
+		}
 	}
-	var ragged table.RaggedCells
-	for r := headerIdx + 1; r < len(records); r++ {
-		if d := len(records[r]) - width; d > 0 {
-			ragged.Truncated += d
-		} else if d < 0 {
-			ragged.Padded -= d
-		}
-		row := normalizeRow(records[r], width)
-		for c := 0; c < width; c++ {
-			data[c] = append(data[c], row[c])
-		}
-		if opts.MaxRows > 0 && r-headerIdx >= opts.MaxRows {
+	if verdict != nil {
+		return nil, verdict
+	}
+	if keep {
+		sc.data = records[headerIdx+1:][:sc.rows]
+	}
+	return sc, nil
+}
+
+// add counts one data row and notes its ragged cells and its last
+// non-null cell, unless MaxRows rows have been counted already.
+func (sc *scanned) add(rec []string) {
+	if sc.maxRows > 0 && sc.rows >= sc.maxRows {
+		return
+	}
+	sc.rows++
+	width := len(sc.header)
+	if d := len(rec) - width; d > 0 {
+		sc.ragged.Truncated += d
+	} else if d < 0 {
+		sc.ragged.Padded -= d
+	}
+	for c := min(len(rec), width) - 1; c >= sc.filled; c-- {
+		if !values.IsNull(rec[c]) {
+			sc.filled = c + 1
 			break
 		}
 	}
+}
 
-	if !opts.KeepEmptyTrailingColumns {
-		header, data = trimTrailingEmptyColumns(header, data)
-		if len(header) == 0 {
-			// Every column was entirely null: nothing readable remains.
-			return nil, ErrEmpty
-		}
+// keptCols applies cleaning step 4: the column count left once the
+// suffix of columns whose every cell is null is dropped (a publication
+// artifact the paper reports, §2.2). A header-only table keeps its
+// columns; one whose every column is null has nothing readable left.
+func (sc *scanned) keptCols(opts Options) (int, error) {
+	switch {
+	case opts.KeepEmptyTrailingColumns || sc.rows == 0:
+		return len(sc.header), nil
+	case sc.filled == 0:
+		return 0, ErrEmpty
 	}
-	t := table.New(name, header, data)
-	t.Ragged = ragged
-	return t, nil
+	return sc.filled, nil
 }
 
 // inferWidth determines the table's column count: the most common
-// record length among the first scanRows records, ties broken toward
-// the wider record (headers and data rows agree in well-formed files).
-func inferWidth(records [][]string, scanRows int) int {
-	n := len(records)
-	if n > scanRows {
-		n = scanRows
-	}
+// record length among the head records, ties broken toward the wider
+// record (headers and data rows agree in well-formed files).
+func inferWidth(head [][]string) int {
 	counts := make(map[int]int)
-	for _, rec := range records[:n] {
+	for _, rec := range head {
 		counts[len(rec)]++
 	}
 	best, bestN := 0, 0
@@ -176,16 +279,11 @@ func inferWidth(records [][]string, scanRows int) int {
 	return best
 }
 
-// inferHeader returns the index of the first record, among the first
-// scanRows, that has exactly the inferred width and no missing value
-// (§2.2 of the paper). Returns -1 when none qualifies.
-func inferHeader(records [][]string, width int, scanRows int) int {
-	n := len(records)
-	if n > scanRows {
-		n = scanRows
-	}
-	for i := 0; i < n; i++ {
-		rec := records[i]
+// inferHeader returns the index of the first head record that has
+// exactly the inferred width and no missing value (§2.2 of the paper).
+// Returns -1 when none qualifies.
+func inferHeader(head [][]string, width int) int {
+	for i, rec := range head {
 		if len(rec) != width {
 			continue
 		}
@@ -201,39 +299,6 @@ func inferHeader(records [][]string, width int, scanRows int) int {
 		}
 	}
 	return -1
-}
-
-// normalizeRow pads or truncates rec to width cells.
-func normalizeRow(rec []string, width int) []string {
-	if len(rec) == width {
-		return rec
-	}
-	out := make([]string, width)
-	copy(out, rec)
-	return out
-}
-
-// trimTrailingEmptyColumns drops the suffix of columns whose every
-// cell is null, a publication artifact the paper reports (§2.2).
-func trimTrailingEmptyColumns(header []string, data [][]string) ([]string, [][]string) {
-	if len(data) == 0 || len(data[0]) == 0 {
-		return header, data // a header-only table keeps its columns
-	}
-	keep := len(header)
-	for keep > 0 && allNull(data[keep-1]) {
-		keep--
-	}
-	return header[:keep], data[:keep]
-}
-
-// allNull reports whether every cell of col is null.
-func allNull(col []string) bool {
-	for _, v := range col {
-		if !values.IsNull(v) {
-			return false
-		}
-	}
-	return true
 }
 
 // Write serializes a table as CSV (header first).

@@ -181,6 +181,3 @@ func (c *Corpus) Tables() []*table.Table {
 	}
 	return out
 }
-
-// MetaByTable maps a table index (into Tables()) to its provenance.
-func (c *Corpus) MetaByTable(i int) *TableMeta { return c.Metas[i] }

@@ -111,7 +111,7 @@ func TestKeyScarcityOrdering(t *testing.T) {
 	noKeyFrac := func(c *Corpus) float64 {
 		n := 0
 		for _, m := range c.Metas {
-			if !keys.HasKeyColumn(m.Table) {
+			if len(keys.KeyColumns(m.Table)) == 0 {
 				n++
 			}
 		}
@@ -423,7 +423,7 @@ func TestTablesProjection(t *testing.T) {
 		t.Fatal("Tables() length mismatch")
 	}
 	for i := range tabs {
-		if tabs[i] != c.MetaByTable(i).Table {
+		if tabs[i] != c.Metas[i].Table {
 			t.Fatal("Tables() order mismatch")
 		}
 	}

@@ -1,13 +1,13 @@
 package gen
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strconv"
-	"strings"
 	"time"
 
 	"ogdp/internal/ckan"
@@ -312,7 +312,7 @@ func loadTable(dir, file string) (*table.Table, error) {
 	if err != nil {
 		return nil, fmt.Errorf("gen: loading corpus table: %w", err)
 	}
-	t, err := csvio.ReadWith(file, strings.NewReader(string(body)), csvio.Options{
+	t, err := csvio.ReadWith(file, bytes.NewReader(body), csvio.Options{
 		KeepEmptyTrailingColumns: true,
 		MaxColumns:               -1,
 	})

@@ -1,10 +1,6 @@
 package ind
 
-import (
-	"sort"
-
-	"ogdp/internal/table"
-)
+import "ogdp/internal/table"
 
 // Options tunes Find.
 type Options struct {
@@ -13,12 +9,6 @@ type Options struct {
 	// many others. Defaults to 10, matching the paper's joinability
 	// filter.
 	MinDistinct int
-	// MaxViolations allows an approximate inclusion: up to this many
-	// distinct values of A may be missing from B (0 = exact).
-	MaxViolations int
-	// RequireKeyReferenced keeps only INDs whose referenced column is a
-	// key of its table — the genuine foreign-key shape.
-	RequireKeyReferenced bool
 }
 
 func (o Options) withDefaults() Options {
@@ -28,95 +18,75 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// IND is one inclusion dependency: (DepTable, DepCol) ⊆ (RefTable,
-// RefCol).
+// IND is one exact inclusion dependency: every distinct value of
+// (DepTable, DepCol) appears in (RefTable, RefCol).
 type IND struct {
 	DepTable, DepCol int
 	RefTable, RefCol int
-	// Missing counts dependent values absent from the referenced column
-	// (0 for exact INDs).
-	Missing int
-	// Coverage is |A ∩ B| / |A|.
-	Coverage float64
 	// RefIsKey reports whether the referenced column is a key.
 	RefIsKey bool
 }
 
 // Find discovers unary inclusion dependencies between columns of
-// different tables. Self-inclusions (same table) and symmetric
-// duplicates are all reported individually: A ⊆ B and B ⊆ A are
-// distinct dependencies.
+// different tables. Symmetric duplicates are reported individually:
+// A ⊆ B and B ⊆ A are distinct dependencies. The result is ordered by
+// dependent, then referenced, (table, column).
+//
+// A ⊆ B requires B to hold A's smallest value hash, so each dependent
+// column is probed once, with that hash, against postings kept only
+// for the dependents' smallest hashes; each column the probe returns
+// is verified with table.IntersectSize. A column whose distinct count
+// exceeds its hash count (a hash collision) is never a dependent, as
+// it could not be reported exactly.
 func Find(tables []*table.Table, opts Options) []IND {
 	opts = opts.withDefaults()
 
-	type colRef struct{ t, c int }
-	// Posting lists over distinct values.
-	postings := map[uint64][]int32{}
-	var cols []colRef
-	var profiles []*table.ColumnProfile
+	type column struct {
+		t, c int
+		p    *table.ColumnProfile
+	}
+	var cols []column
+	postings := map[uint64][]int32{} // a dependent's smallest hash -> columns holding it
 	for ti, t := range tables {
 		for ci := range t.Cols {
 			p := t.Profile(ci)
 			if p.Distinct == 0 {
 				continue
 			}
-			id := int32(len(cols))
-			cols = append(cols, colRef{ti, ci})
-			profiles = append(profiles, p)
-			for _, h := range p.ValueHashes() {
-				postings[h] = append(postings[h], id)
+			cols = append(cols, column{ti, ci, p})
+			if p.Distinct >= opts.MinDistinct {
+				postings[p.ValueHashes()[0]] = nil
+			}
+		}
+	}
+	for id, col := range cols {
+		for _, h := range col.p.ValueHashes() {
+			if ids, ok := postings[h]; ok {
+				postings[h] = append(ids, int32(id))
 			}
 		}
 	}
 
 	var out []IND
-	for depID, dep := range cols {
-		p := profiles[depID]
-		if p.Distinct < opts.MinDistinct {
+	for _, dep := range cols {
+		a := dep.p
+		if a.Distinct < opts.MinDistinct {
 			continue
 		}
-		// Count how many of dep's distinct values each candidate holds.
-		counts := map[int32]int{}
-		for _, h := range p.ValueHashes() {
-			for _, id := range postings[h] {
-				if int(id) == depID || cols[id].t == dep.t {
-					continue
-				}
-				counts[id]++
-			}
-		}
-		for id, inter := range counts {
-			missing := p.Distinct - inter
-			if missing > opts.MaxViolations {
-				continue
-			}
-			refP := profiles[id]
-			refIsKey := refP.IsKey()
-			if opts.RequireKeyReferenced && !refIsKey {
+		for _, id := range postings[a.ValueHashes()[0]] {
+			ref := cols[id]
+			b := ref.p
+			if ref.t == dep.t || b.Distinct < a.Distinct ||
+				table.IntersectSize(a.ValueHashes(), b.ValueHashes()) != a.Distinct {
 				continue
 			}
 			out = append(out, IND{
 				DepTable: dep.t, DepCol: dep.c,
-				RefTable: cols[id].t, RefCol: cols[id].c,
-				Missing:  missing,
-				Coverage: float64(inter) / float64(p.Distinct),
-				RefIsKey: refIsKey,
+				RefTable: ref.t, RefCol: ref.c,
+				RefIsKey: b.IsKey(),
 			})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.DepTable != b.DepTable {
-			return a.DepTable < b.DepTable
-		}
-		if a.DepCol != b.DepCol {
-			return a.DepCol < b.DepCol
-		}
-		if a.RefTable != b.RefTable {
-			return a.RefTable < b.RefTable
-		}
-		return a.RefCol < b.RefCol
-	})
 	return out
 }
 

@@ -12,6 +12,7 @@
 package ingest
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -143,7 +144,7 @@ func Detect(corpusDir, snapshotDir string) (*Plan, error) {
 // loaded later from its colstore file or from its stored CSV is
 // cell-identical to the one ingested here.
 func parseSnapshot(name string, body []byte) (*table.Table, error) {
-	t, err := csvio.ReadWith(name, strings.NewReader(string(body)), csvio.Options{
+	t, err := csvio.ReadWith(name, bytes.NewReader(body), csvio.Options{
 		KeepEmptyTrailingColumns: true,
 		MaxColumns:               -1,
 	})

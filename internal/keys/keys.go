@@ -22,17 +22,6 @@ func KeyColumns(t *table.Table) []int {
 	return out
 }
 
-// HasKeyColumn reports whether the table has at least one single-column
-// key.
-func HasKeyColumn(t *table.Table) bool {
-	for c := range t.Cols {
-		if t.Profile(c).IsKey() {
-			return true
-		}
-	}
-	return false
-}
-
 // MinCandidateKeySize returns the size of the smallest candidate key of
 // the table, searching keys of up to maxSize columns (use
 // MaxCandidateKeySize for the paper's setting). It returns 0 when no

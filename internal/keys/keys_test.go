@@ -18,9 +18,6 @@ func TestKeyColumns(t *testing.T) {
 	if len(ks) != 2 || ks[0] != 0 || ks[1] != 2 {
 		t.Errorf("KeyColumns = %v", ks)
 	}
-	if !HasKeyColumn(tb) {
-		t.Error("HasKeyColumn = false")
-	}
 }
 
 func TestMinCandidateKeySizeOne(t *testing.T) {
@@ -79,7 +76,7 @@ func TestNullBlocksSingleKey(t *testing.T) {
 	// id has a null, so it is not a single key; v repeats; but {id, v}
 	// distinguishes all rows (the null cell counts as a value at the
 	// instance level).
-	if HasKeyColumn(tb) {
+	if len(KeyColumns(tb)) > 0 {
 		t.Error("column with null must not be a key")
 	}
 	if got := MinCandidateKeySize(tb, 3); got != 2 {

@@ -1,7 +1,9 @@
 package obs_test
 
 import (
+	"context"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -10,14 +12,15 @@ import (
 	"ogdp/internal/obs"
 )
 
-// crawl runs a full fetch against a freshly built faulty portal with
-// the given worker count and renders the resulting metrics snapshot
-// and span tree as text plus the snapshot as JSON.
-func crawl(t *testing.T, workers int) (text, jsonOut, tree string) {
+// crawl runs a full fetch against a freshly built faulty copy of the
+// named portal profile with the given worker count and renders the
+// resulting metrics snapshot and span tree as text plus the snapshot
+// as JSON. With countOnly the crawl is Funnel's instead of FetchAll's.
+func crawl(t *testing.T, portal string, workers int, countOnly bool) (text, jsonOut, tree string, stats ckan.FunnelStats) {
 	t.Helper()
-	prof, ok := gen.ProfileByName("SG")
+	prof, ok := gen.ProfileByName(portal)
 	if !ok {
-		t.Fatal("SG portal profile missing")
+		t.Fatalf("%s portal profile missing", portal)
 	}
 	corpus := gen.Generate(prof, 0.1, 1)
 	server := ckan.NewServer(gen.BuildPortal(corpus, 1))
@@ -37,10 +40,16 @@ func crawl(t *testing.T, workers int) (text, jsonOut, tree string) {
 	client.Retries = 6
 	client.Backoff = -1
 	client.Metrics = reg
-	client.MetricLabels = []string{"portal", "SG"}
+	client.MetricLabels = []string{"portal", portal}
 	client.Trace = root
 
-	if _, _, err := client.FetchAll(); err != nil {
+	var err error
+	if countOnly {
+		stats, err = client.Funnel(context.Background())
+	} else {
+		_, stats, err = client.FetchAll()
+	}
+	if err != nil {
 		t.Fatal(err)
 	}
 
@@ -51,7 +60,7 @@ func crawl(t *testing.T, workers int) (text, jsonOut, tree string) {
 		t.Fatal(err)
 	}
 	root.WriteTree(&c)
-	return a.String(), b.String(), c.String()
+	return a.String(), b.String(), c.String(), stats
 }
 
 // TestSnapshotDeterministicAcrossWorkers is the package's acceptance
@@ -62,8 +71,8 @@ func crawl(t *testing.T, workers int) (text, jsonOut, tree string) {
 // failure kinds, funnel counters — is a pure function of (portal,
 // seeds), never of scheduling.
 func TestSnapshotDeterministicAcrossWorkers(t *testing.T) {
-	text1, json1, tree1 := crawl(t, 1)
-	text8, json8, tree8 := crawl(t, 8)
+	text1, json1, tree1, _ := crawl(t, "SG", 1, false)
+	text8, json8, tree8, _ := crawl(t, "SG", 8, false)
 
 	if text1 != text8 {
 		t.Errorf("metrics text differs between workers=1 and workers=8:\n--- w1 ---\n%s--- w8 ---\n%s", text1, text8)
@@ -98,9 +107,32 @@ func TestSnapshotDeterministicAcrossWorkers(t *testing.T) {
 // and requires byte-identical output — the same contract the CLI's
 // -metrics flag promises across invocations.
 func TestSnapshotDeterministicRepeatRuns(t *testing.T) {
-	textA, jsonA, treeA := crawl(t, 4)
-	textB, jsonB, treeB := crawl(t, 4)
+	textA, jsonA, treeA, _ := crawl(t, "SG", 4, false)
+	textB, jsonB, treeB, _ := crawl(t, "SG", 4, false)
 	if textA != textB || jsonA != jsonB || treeA != treeB {
 		t.Error("repeat runs with identical configuration rendered differently")
+	}
+}
+
+// TestFunnelRecordsWhatFetchAllDoes: the count-only crawl returns
+// FetchAll's funnel statistics and records byte-identical metrics and
+// span trees (item and byte counts included) at one and eight workers,
+// on a portal with broken, wide and faulty resources.
+func TestFunnelRecordsWhatFetchAllDoes(t *testing.T) {
+	for _, workers := range []int{1, 8} {
+		text, jsonOut, tree, stats := crawl(t, "UK", workers, false)
+		cText, cJSON, cTree, cStats := crawl(t, "UK", workers, true)
+		if !reflect.DeepEqual(stats, cStats) {
+			t.Errorf("workers=%d: Funnel stats %+v, FetchAll %+v", workers, cStats, stats)
+		}
+		if text != cText || jsonOut != cJSON {
+			t.Errorf("workers=%d: Funnel metrics differ from FetchAll's:\n--- FetchAll ---\n%s--- Funnel ---\n%s", workers, text, cText)
+		}
+		if tree != cTree {
+			t.Errorf("workers=%d: Funnel span tree differs from FetchAll's:\n--- FetchAll ---\n%s--- Funnel ---\n%s", workers, tree, cTree)
+		}
+		if stats.Readable == 0 || stats.TooWide == 0 || stats.Readable == stats.Downloadable-stats.TooWide {
+			t.Errorf("workers=%d: portal exercises too little of the funnel: %+v", workers, stats)
+		}
 	}
 }

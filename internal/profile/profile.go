@@ -14,7 +14,6 @@ import (
 
 	"ogdp/internal/stats"
 	"ogdp/internal/table"
-	"ogdp/internal/values"
 )
 
 // TableInfo is one corpus table with the portal-level context the
@@ -464,6 +463,3 @@ func Uniqueness(c *Corpus) map[string]UniquenessStats {
 	}
 	return out
 }
-
-// IsNullValue re-exports the null predicate for convenience.
-func IsNullValue(s string) bool { return values.IsNull(s) }

@@ -185,8 +185,12 @@ func TestUniqueness(t *testing.T) {
 	}
 }
 
+// TestIsNullValue: Figure 4 counts a null token such as "n/a" as a
+// null value and an ordinary value as none.
 func TestIsNullValue(t *testing.T) {
-	if !IsNullValue("n/a") || IsNullValue("x") {
-		t.Error("IsNullValue wrong")
+	ti := mkTable("t.csv", "d", []string{"a", "b"}, [][]string{{"n/a", "x"}, {"y", "z"}})
+	got := Nulls(&Corpus{Portal: "T", Tables: []TableInfo{ti}}).ColumnNullRatios
+	if len(got) != 2 || got[0] != 0.5 || got[1] != 0 {
+		t.Errorf("column null ratios = %v, want [0.5 0]", got)
 	}
 }

@@ -37,14 +37,14 @@ func sameResults(t *testing.T, patched, rebuilt *Engine, tables []*table.Table) 
 		if got, want := patched.TopKJoinable(q, 0, 10, exclude), rebuilt.TopKJoinable(q, 0, 10, exclude); !reflect.DeepEqual(got, want) {
 			t.Errorf("TopKJoinable(%s): patched %+v, rebuilt %+v", q.Name, got, want)
 		}
-		if got, want := patched.JoinableFor(q, 0, 0.2, exclude), rebuilt.JoinableFor(q, 0, 0.2, exclude); !reflect.DeepEqual(got, want) {
-			t.Errorf("JoinableFor(%s): patched %+v, rebuilt %+v", q.Name, got, want)
+		if got, want := joinableFor(patched, q, 0, 0.2, exclude), joinableFor(rebuilt, q, 0, 0.2, exclude); !reflect.DeepEqual(got, want) {
+			t.Errorf("joinableFor(%s): patched %+v, rebuilt %+v", q.Name, got, want)
 		}
 		if got, want := patched.RankTables(q, 10, exclude), rebuilt.RankTables(q, 10, exclude); !reflect.DeepEqual(got, want) {
 			t.Errorf("RankTables(%s): patched %+v, rebuilt %+v", q.Name, got, want)
 		}
-		if got, want := patched.UnionableFor(q, exclude), rebuilt.UnionableFor(q, exclude); !reflect.DeepEqual(got, want) {
-			t.Errorf("UnionableFor(%s): patched %+v, rebuilt %+v", q.Name, got, want)
+		if got, want := unionableFor(patched, q, exclude), unionableFor(rebuilt, q, exclude); !reflect.DeepEqual(got, want) {
+			t.Errorf("unionableFor(%s): patched %+v, rebuilt %+v", q.Name, got, want)
 		}
 	}
 }

@@ -122,37 +122,6 @@ func (e *Engine) TopKJoinable(query *table.Table, col, k, excludeTable int) []Re
 	return out
 }
 
-// JoinableFor returns all corpus columns whose Jaccard similarity with
-// the query column is at least minJaccard (the paper's thresholded
-// search), sorted by Jaccard descending.
-func (e *Engine) JoinableFor(query *table.Table, col int, minJaccard float64, excludeTable int) []Result {
-	q := query.Profile(col)
-	if q.Distinct == 0 {
-		return nil
-	}
-	counts := e.overlaps(q, excludeTable)
-	var out []Result
-	for id, inter := range counts {
-		r := e.result(id, q, inter)
-		if r.Jaccard >= minJaccard {
-			out = append(out, r)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Jaccard > out[j].Jaccard {
-			return true
-		}
-		if out[i].Jaccard < out[j].Jaccard {
-			return false
-		}
-		if out[i].Ref.Table != out[j].Ref.Table {
-			return out[i].Ref.Table < out[j].Ref.Table
-		}
-		return out[i].Ref.Column < out[j].Ref.Column
-	})
-	return out
-}
-
 func (e *Engine) result(id int32, q *table.ColumnProfile, inter int) Result {
 	union := q.Distinct + e.distinct[id] - inter
 	r := Result{Ref: e.columns[id], Overlap: inter}
@@ -163,22 +132,6 @@ func (e *Engine) result(id int32, q *table.ColumnProfile, inter int) Result {
 		r.Containment = float64(inter) / float64(q.Distinct)
 	}
 	return r
-}
-
-// UnionableFor returns the corpus tables sharing the query table's
-// exact schema (column names and broad types, in order).
-func (e *Engine) UnionableFor(query *table.Table, excludeTable int) []int {
-	key := query.SchemaKey()
-	var out []int
-	for ti, t := range e.tables {
-		if ti == excludeTable {
-			continue
-		}
-		if t.NumCols() > 0 && t.SchemaKey() == key {
-			out = append(out, ti)
-		}
-	}
-	return out
 }
 
 // MinUniqueDefault is the distinct-value bar a column must reach to be

@@ -2,6 +2,7 @@ package search
 
 import (
 	"fmt"
+	"sort"
 	"strconv"
 	"testing"
 
@@ -77,7 +78,7 @@ func TestJoinableForThreshold(t *testing.T) {
 	e := New(corpus, Options{})
 	q := queryTable()
 
-	res := e.JoinableFor(q, 0, 0.9, -1)
+	res := joinableFor(e, q, 0, 0.9, -1)
 	if len(res) != 2 { // full (1.0) and most (27/33 = 0.818... no!)
 		// 27 shared of |Q|=30, |C|=27 -> union 30 -> J = 0.9 exactly.
 		t.Fatalf("threshold results = %+v", res)
@@ -106,7 +107,7 @@ func TestAgreesWithJoinFind(t *testing.T) {
 	e := New(corpus, Options{})
 	got := map[[4]int]bool{}
 	for ti, tb := range corpus {
-		for _, r := range e.JoinableFor(tb, 0, join.DefaultMinJaccard, ti) {
+		for _, r := range joinableFor(e, tb, 0, join.DefaultMinJaccard, ti) {
 			a := [4]int{ti, 0, r.Ref.Table, r.Ref.Column}
 			if a[2] < a[0] {
 				a = [4]int{a[2], a[3], a[0], a[1]}
@@ -152,12 +153,12 @@ func TestUnionableFor(t *testing.T) {
 	b := table.FromRows("b.csv", []string{"year", "value"}, [][]string{{"1999", "2.5"}})
 	c := table.FromRows("c.csv", []string{"year", "name"}, [][]string{{"2020", "x"}})
 	e := New([]*table.Table{a, b, c}, Options{})
-	got := e.UnionableFor(a, 0)
+	got := unionableFor(e, a, 0)
 	if len(got) != 1 || got[0] != 1 {
-		t.Errorf("UnionableFor = %v", got)
+		t.Errorf("unionableFor = %v", got)
 	}
 	q := table.FromRows("ext.csv", []string{"year", "value"}, [][]string{{"1901", "7.5"}})
-	if got := e.UnionableFor(q, -1); len(got) != 2 {
+	if got := unionableFor(e, q, -1); len(got) != 2 {
 		t.Errorf("external query unionable = %v", got)
 	}
 }
@@ -168,7 +169,7 @@ func TestEmptyQuery(t *testing.T) {
 	if res := e.TopKJoinable(empty, 0, 5, -1); res != nil {
 		t.Errorf("empty query returned %v", res)
 	}
-	if res := e.JoinableFor(empty, 0, 0.5, -1); res != nil {
+	if res := joinableFor(e, empty, 0, 0.5, -1); res != nil {
 		t.Errorf("empty query returned %v", res)
 	}
 }
@@ -203,4 +204,51 @@ func BenchmarkBuildIndex(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		New(corpus, Options{})
 	}
+}
+
+// joinableFor returns all corpus columns whose Jaccard similarity with
+// the query column is at least minJaccard (the paper's thresholded
+// search), sorted by Jaccard descending.
+func joinableFor(e *Engine, query *table.Table, col int, minJaccard float64, excludeTable int) []Result {
+	q := query.Profile(col)
+	if q.Distinct == 0 {
+		return nil
+	}
+	counts := e.overlaps(q, excludeTable)
+	var out []Result
+	for id, inter := range counts {
+		r := e.result(id, q, inter)
+		if r.Jaccard >= minJaccard {
+			out = append(out, r)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Jaccard > out[j].Jaccard {
+			return true
+		}
+		if out[i].Jaccard < out[j].Jaccard {
+			return false
+		}
+		if out[i].Ref.Table != out[j].Ref.Table {
+			return out[i].Ref.Table < out[j].Ref.Table
+		}
+		return out[i].Ref.Column < out[j].Ref.Column
+	})
+	return out
+}
+
+// unionableFor returns the corpus tables sharing the query table's
+// exact schema (column names and broad types, in order).
+func unionableFor(e *Engine, query *table.Table, excludeTable int) []int {
+	key := query.SchemaKey()
+	var out []int
+	for ti, t := range e.tables {
+		if ti == excludeTable {
+			continue
+		}
+		if t.NumCols() > 0 && t.SchemaKey() == key {
+			out = append(out, ti)
+		}
+	}
+	return out
 }
