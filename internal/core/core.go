@@ -447,28 +447,25 @@ func runPortal(src corpus.Source, opts Options, span *obs.Span) PortalResult {
 		},
 		func() { // ---- keys and FDs (§4) ----
 			n := len(fdTables)
-			secKeys.AddTasks(2 * n)
-			// One flat fan-out covers both §4.1 (minimal candidate
-			// keys) and §4.2 (FD discovery + BCNF decomposition):
-			// units [0, n) are the per-table FD searches — the heavier
-			// pass, scheduled first — and units [n, 2n) the per-table
-			// key searches. Fusing the passes removes the barrier that
-			// previously idled workers between them; both write only
+			secKeys.AddTasks(n)
+			// One unit per table covers §4.1 (minimal candidate keys)
+			// and §4.2 (FD discovery + BCNF decomposition) through the
+			// table's one cardinality lattice; units write only
 			// index-addressed slots, so the fold is order-independent.
-			keySizes := make([]int, n)
-			parallel.Must(parallel.ForEach(parallel.WithPool(bg, "keys+fd"), 2*n, opts.Workers, func(i int) {
-				if i < n {
-					fdPer[i] = fdTableOne(fdTables[i], opts.Seed, i)
-				} else {
-					keySizes[i-n] = keys.MinCandidateKeySize(fdTables[i-n], keys.MaxCandidateKeySize)
-				}
+			parallel.Must(parallel.ForEach(parallel.WithPool(bg, "keys+fd"), n, opts.Workers, func(i int) {
+				fdPer[i] = fdTableOne(fdTables[i], opts.Seed, i)
 			}))
+			keySizes := make([]int, n)
+			for i, r := range fdPer {
+				keySizes[i] = r.keySize
+			}
 			pr.KeySizeDist = keys.FoldSizeDistribution(keySizes, keys.MaxCandidateKeySize)
 			var cost fdCost
 			pr.FD, cost = foldFD(fdPer)
 			counter("ogdp_fd_tables_total", "Tables entering the FD/BCNF analysis.", len(fdTables))
 			counter("ogdp_fd_discovered_total", "Minimal non-trivial FDs discovered.", cost.fds)
-			counter("ogdp_fd_cardinalities_total", "Projection count-distinct evaluations performed by the FUN search.", cost.cardinalities)
+			counter("ogdp_fd_cardinalities_total", "Projection cardinalities the FUN search determined (counted or inferred).", cost.cardinalities)
+			secKeys.Note("counted", cost.counted)
 			secKeys.AddItems(cost.fds)
 			secKeys.End()
 		},
@@ -583,8 +580,8 @@ func extensionStats(src corpus.Source, tables []*table.Table, fdTables []*table.
 		if n >= 200 {
 			break
 		}
-		for _, f := range fdPer[i].fds {
-			sum += fd.Plausibility(t, f)
+		for k, f := range fdPer[i].fds {
+			sum += fd.PlausibilityOf(t, f, fdPer[i].supports[k])
 			n++
 			if n >= 200 {
 				break
@@ -690,15 +687,19 @@ func fdSubset(metas []corpus.TableMeta, max int) []*table.Table {
 // FD analysis, for the observability layer.
 type fdCost struct {
 	cardinalities int
+	counted       int
 	fds           int
 }
 
-// tableFD is one table's FD/BCNF result, the work unit of the fused
-// §4 fan-out in runPortal. Results are index-addressed and folded in
+// tableFD is one table's §4 result, the work unit of the keys+fd
+// fan-out in runPortal. Results are index-addressed and folded in
 // index order by foldFD, so the aggregate (including its
-// floating-point sums) is identical for every worker count.
+// floating-point sums) is identical for every worker count. It holds
+// numbers only: the table's lattice, and with it every partition,
+// ends with its unit.
 type tableFD struct {
 	cols      int
+	keySize   int // §4.1: the smallest candidate key's size, 0 if none ≤ keys.MaxCandidateKeySize
 	withFD    bool
 	simpleFD  bool
 	subTables int
@@ -707,21 +708,32 @@ type tableFD struct {
 	gain      float64
 	cost      fd.Cost
 	fds       []fd.FD // the table's minimal non-trivial FDs
+	supports  []int   // supports[k]: card(fds[k].LHS), for plausibility
 }
 
-// fdTableOne runs FD discovery and BCNF decomposition on one table;
-// the decomposition's root search is the table's FD discovery. The
-// table's decomposition choices are drawn from an rng stream derived
-// from (seed, seedSaltFD, table index i), never from shared state, so
-// distinct indices may run concurrently.
+// fdTableOne runs FD discovery, BCNF decomposition and the minimal
+// candidate key search on one table, all counting through one
+// fd.Lattice: the decomposition's root search is the table's FD
+// discovery, and the key search and each FD's support read the
+// cardinalities it determined. The table's decomposition choices are
+// drawn from an rng stream derived from (seed, seedSaltFD, table index
+// i), never from shared state, so distinct indices may run
+// concurrently. t must be an fdSubset table, whose bounds keep its
+// lattice non-empty.
 func fdTableOne(t *table.Table, seed int64, i int) tableFD {
 	rng := rand.New(rand.NewSource(sectionSeed(seed, seedSaltFD) + int64(i)))
-	res := normalize.Decompose(t, fd.MaxLHS, rng)
+	lat := fd.NewLattice(t)
+	res := normalize.DecomposeLattice(t, lat, fd.MaxLHS, rng)
 	r := tableFD{cols: t.NumCols(), cost: res.Cost, fds: res.FDs}
+	r.keySize = len(keys.MinCandidateKey(t, keys.MaxCandidateKeySize, lat.Card))
 	if len(res.FDs) == 0 {
 		r.subTables = 1
 		r.inBCNF = true
 		return r
+	}
+	r.supports = make([]int, len(res.FDs))
+	for k, f := range res.FDs {
+		r.supports[k] = lat.Card(f.LHS)
 	}
 	r.withFD = true
 	r.simpleFD = len(fd.SimpleFDs(res.FDs)) > 0
@@ -747,6 +759,7 @@ func foldFD(per []tableFD) (FDStats, fdCost) {
 		st.Columns += r.cols
 		cols += float64(r.cols)
 		cost.cardinalities += r.cost.Cardinalities
+		cost.counted += r.cost.Counted
 		cost.fds += r.cost.FDs
 		if !r.withFD {
 			st.DecompositionDist[1]++

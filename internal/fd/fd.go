@@ -13,6 +13,26 @@
 // Following the paper, an FD X → A is trivial when A ∈ X or X is a
 // (super)key, and discovery is bounded at |LHS| ≤ 4 (MaxLHS).
 //
+// Each level is a sorted list of free sets, and the next level is its
+// apriori join: two sets that differ only in their highest member make
+// a candidate, kept when its other maximal subsets are in the level
+// and all have a smaller card. No set is visited twice, so the search
+// keeps no map of the sets it has seen.
+//
+// As in FUN, a card the cache already implies is inferred rather than
+// counted. For a free non-key X of a level and a ∉ X, let m be the
+// largest card of the |X|-subsets of S = X ∪ {a}, all cached by then.
+// card(S) = m, with no count, when
+//
+//   - m equals the row count: S can have no more distinct tuples than
+//     the relation has rows, and no fewer than its subset;
+//   - some subset (X∖{b}) ∪ {a} is not in the level: it is not free, so
+//     neither is S, and a set that is not free has a maximal subset of
+//     the same card, which is then the largest.
+//
+// Every cardinality the search determines, counted or inferred, fills
+// the same cache slot with the exact value.
+//
 // card(X) is counted exactly by stripped-partition refinement, the
 // partitions of TANE (table.Partition): a column's partition groups the
 // rows by its canonical code, and card(X ∪ {a}) = nRows − Err(π_X) +
@@ -117,7 +137,9 @@ func setOf(attrs []int) attrset {
 // prefix partitions, so the next set sharing a prefix refines only
 // from where the two differ. FUN lists each level's sets in
 // lexicographic order, each right after the siblings that share its
-// parent, so a parent is usually one refinement away.
+// parent, so a parent is usually one refinement away. Only cards the
+// cache does not imply are counted (see extend), and a set's partition
+// is built only when one of its extensions needs a count.
 //
 // Memory stays O(nCols·nRows): one partition per column and one per
 // chain position, each at most nRows rows, all built on first use.
@@ -130,6 +152,7 @@ type engine struct {
 	codes     [][]uint32 // codes[c]: canonical code stream of column c
 	codeSizes []int      // code-space size per column (distinct incl. the null code)
 	cards     map[attrset]int
+	counted   int // Partitioner.Count calls, the cache slots filled by counting
 
 	z     table.Partitioner
 	cols  []table.Partition // cols[c]: partition by column c, once built
@@ -200,6 +223,7 @@ func (e *engine) cardWith(x attrset, a int) int {
 		return n
 	}
 	n := e.z.Count(e.partition(x), e.nRows, e.codes[a], e.codeSizes[a])
+	e.counted++
 	e.cards[s] = n
 	return n
 }
@@ -248,13 +272,17 @@ func Discover(t *table.Table, maxLHS int) []FD {
 }
 
 // Cost summarizes the work one Discover call performed, for the
-// observability layer. Both counts derive only from the table's
+// observability layer. The counts derive only from the table's
 // contents and maxLHS, so they are deterministic.
 type Cost struct {
-	// Cardinalities is the number of distinct count-distinct
-	// computations the FUN lattice exploration evaluated (cache
-	// misses of the projection-cardinality cache).
+	// Cardinalities is the number of distinct projection
+	// cardinalities the FUN search determined: the entries of the
+	// projection-cardinality cache, counted or inferred.
 	Cardinalities int
+	// Counted is the number of those cardinalities counted by
+	// partition refinement; the rest were single columns, read off
+	// their encodings, or inferred from cached ones.
+	Counted int
 	// FDs is the number of minimal non-trivial FDs found.
 	FDs int
 }
@@ -302,23 +330,24 @@ func NewLattice(t *table.Table) *Lattice {
 }
 
 // Card returns card_T(cols) for distinct column indices cols: the row
-// count of the deduplicated projection DiscoverCols searches. The
-// lattice must not be empty. A Cost taken before the call is
-// unchanged.
+// count of the deduplicated projection DiscoverCols searches. It reads
+// the cache, or counts and caches a missing set. The lattice must not
+// be empty. A Cost taken before the call is unchanged.
 func (l *Lattice) Card(cols []int) int { return l.e.card(setOf(cols)) }
 
 // Discover is the root search, the FDs and Cost DiscoverCost returns
 // for the lattice's table (nTotal is the row count, duplicates
 // included). Cost.Cardinalities is the size of the shared cache when
-// the search ends, so it counts the root search alone only when no
-// DiscoverCols call ran before it.
+// the search ends, and Cost.Counted the counts made so far, so they
+// describe the root search alone only when no DiscoverCols or Card
+// call ran before it.
 func (l *Lattice) Discover(maxLHS int) ([]FD, Cost) {
 	if l.e == nil || maxLHS < 1 {
 		return nil, Cost{}
 	}
 	fds := l.e.discover(fullSet(l.e.nCols), l.e.nRows, maxLHS, false)
 	sortFDs(fds)
-	return fds, Cost{Cardinalities: len(l.e.cards), FDs: len(fds)}
+	return fds, Cost{Cardinalities: len(l.e.cards), Counted: l.e.counted, FDs: len(fds)}
 }
 
 // DiscoverCols returns the minimal non-trivial FDs with |LHS| ≤ maxLHS
@@ -360,6 +389,11 @@ func fullSet(n int) attrset {
 // discover runs the FUN levelwise search over the columns in view, for
 // a relation of nTotal rows, and returns its FDs unsorted in original
 // column indices. With firstOnly it returns as soon as one FD is found.
+//
+// Each level is the list of the view's free sets of one size, in
+// lexicographic order of their sorted members (lexLess). For a free
+// non-key X of the level and a column a ∉ X, card(X ∪ {a}) is either
+// inferred from cached cardinalities or counted; see extend.
 func (e *engine) discover(view attrset, nTotal, maxLHS int, firstOnly bool) []FD {
 	var fds []FD
 	attrs := view.members(e.nCols)
@@ -386,15 +420,13 @@ func (e *engine) discover(view attrset, nTotal, maxLHS int, firstOnly bool) []FD
 		}
 	}
 
-	// Level 1 free sets: non-constant, non-duplicate-cardinality is not
-	// required at level 1 beyond excluding constants (card == card(∅)).
+	// Level 1 free sets: the non-constant columns (card > card(∅)), in
+	// ascending order, which is lexicographic.
 	level := make([]attrset, 0, len(attrs))
-	free := make(map[attrset]bool, len(attrs)*2)
 	for _, a := range attrs {
 		s := attrset(0).with(a)
 		if e.card(s) > 1 || nTotal <= 1 {
 			level = append(level, s)
-			free[s] = true
 		}
 	}
 
@@ -409,7 +441,7 @@ func (e *engine) discover(view attrset, nTotal, maxLHS int, firstOnly bool) []FD
 				if x.has(a) {
 					continue
 				}
-				if e.cardWith(x, a) == cx {
+				if e.extend(level, x, a, nTotal) == cx {
 					emit(x, a)
 					if firstOnly && len(fds) > 0 {
 						return fds
@@ -420,51 +452,114 @@ func (e *engine) discover(view attrset, nTotal, maxLHS int, firstOnly bool) []FD
 		if size == maxLHS {
 			break
 		}
-		// Generate the next level of free sets.
-		next := make([]attrset, 0, len(level))
-		seen := make(map[attrset]bool, len(level)*2)
-		for _, x := range level {
-			cx := e.card(x)
-			if cx == nTotal {
-				continue // supersets of keys are never free
-			}
-			for _, a := range attrs {
-				if x.has(a) {
-					continue
-				}
-				cand := x.with(a)
-				if seen[cand] {
-					continue
-				}
-				seen[cand] = true
-				if isFree(e, free, cand, e.nCols) {
-					free[cand] = true
-					next = append(next, cand)
-				}
-			}
-		}
-		level = next
+		level = e.nextLevel(level, nTotal)
 	}
 	return fds
 }
 
-// isFree reports whether cand is a free set: every proper subset one
-// level down must itself be free and have strictly smaller cardinality.
-func isFree(e *engine, free map[attrset]bool, cand attrset, nCols int) bool {
-	cCand := e.card(cand)
-	for a := 0; a < nCols; a++ {
-		if !cand.has(a) {
-			continue
+// extend returns card(S) for S = x ∪ {a}, where x is a free non-key set
+// of level (the view's free sets of x's size, sorted by lexLess) and a
+// is a view column outside x. Every other |x|-subset of S, (x∖{b}) ∪
+// {a}, has a cached card: the previous level's extend filled it, or,
+// for |x| = 1, it is the column {a}. With m the largest of those cards
+// and card(x), S's card is m, stored without a count, when
+//
+//   - (i) m = nTotal: m ≤ card(S) ≤ card(view) = nTotal, or
+//   - (ii) some (x∖{b}) ∪ {a} is not in level: that subset is not free,
+//     so S is not free, and a non-free set has a maximal subset of its
+//     own card, which is then the largest.
+//
+// Otherwise x's partition is refined by a. Either way the cache slot
+// for S is filled with card(S), as a count would fill it.
+func (e *engine) extend(level []attrset, x attrset, a, nTotal int) int {
+	s := x.with(a)
+	if n, ok := e.cards[s]; ok {
+		return n
+	}
+	m := e.card(x)
+	for rest := x; rest != 0; rest &= rest - 1 {
+		m = max(m, e.card(s.without(bits.TrailingZeros64(uint64(rest)))))
+	}
+	inferred := m == nTotal
+	for rest := x; rest != 0 && !inferred; rest &= rest - 1 {
+		inferred = !inLevel(level, s.without(bits.TrailingZeros64(uint64(rest))))
+	}
+	if inferred {
+		e.cards[s] = m
+		return m
+	}
+	return e.cardWith(x, a)
+}
+
+// nextLevel joins a level, sorted by lexLess, into the next one in the
+// same order, apriori-style: two non-key sets that differ only in
+// their highest member (adjacent runs in lexicographic order) make the
+// candidate of their union, which is free when its other maximal
+// subsets are in the level too and every maximal subset has a smaller
+// card. A set with a key subset is never free, so keys are not joined.
+func (e *engine) nextLevel(level []attrset, nTotal int) []attrset {
+	var next []attrset
+	for i := 0; i < len(level); {
+		// level[i:j] share level[i]'s members but its highest.
+		prefix := level[i] &^ highBit(level[i])
+		j := i + 1
+		for j < len(level) && level[j]&^highBit(level[j]) == prefix {
+			j++
 		}
-		sub := cand.without(a)
-		if !free[sub] {
+		for p := i; p < j; p++ {
+			if e.card(level[p]) == nTotal {
+				continue
+			}
+			for q := p + 1; q < j; q++ {
+				if e.card(level[q]) == nTotal {
+					continue
+				}
+				cand := level[p] | level[q]
+				if e.isFree(level, cand, prefix) {
+					next = append(next, cand)
+				}
+			}
+		}
+		i = j
+	}
+	return next
+}
+
+// isFree reports whether cand, the union of two sets of level that
+// share prefix, is free: its maximal subsets that drop a prefix member
+// must be in level too, and every maximal subset must have a smaller
+// card. Every card it reads is cached: the level's extend filled
+// cand's.
+func (e *engine) isFree(level []attrset, cand, prefix attrset) bool {
+	cc := e.card(cand)
+	for rest := cand; rest != 0; rest &= rest - 1 {
+		b := bits.TrailingZeros64(uint64(rest))
+		sub := cand.without(b)
+		if prefix.has(b) && !inLevel(level, sub) {
 			return false
 		}
-		if e.card(sub) >= cCand {
+		if e.card(sub) >= cc {
 			return false
 		}
 	}
 	return true
+}
+
+// highBit is s's highest member as a one-member set.
+func highBit(s attrset) attrset { return 1 << uint(63-bits.LeadingZeros64(uint64(s))) }
+
+// lexLess orders sets of equal size lexicographically by their sorted
+// members: the lowest member of the symmetric difference lies in the
+// smaller set.
+func lexLess(a, b attrset) bool {
+	d := a ^ b
+	return a&(d&-d) != 0
+}
+
+// inLevel reports whether s is in level, a list sorted by lexLess.
+func inLevel(level []attrset, s attrset) bool {
+	i := sort.Search(len(level), func(i int) bool { return !lexLess(level[i], s) })
+	return i < len(level) && level[i] == s
 }
 
 func sortFDs(fds []FD) {

@@ -93,7 +93,10 @@ func encodeFuzzTable(t *table.Table, mask, rot byte) []byte {
 // FuzzDiscover checks that the three FD engines agree on arbitrary
 // small tables with nulls and duplicate rows, and that a lattice's
 // column-list search equals Discover on the built deduplicated
-// projection.
+// projection, both on a fresh lattice and after the root search.
+// Every cardinality either lattice then holds, counted or inferred,
+// must be the string-keyed count, so an unsound inference fails even
+// where it leaves the FD lists unchanged.
 func FuzzDiscover(f *testing.F) {
 	parity := make([][]string, 16)
 	for i := range parity {
@@ -122,17 +125,26 @@ func FuzzDiscover(f *testing.F) {
 			return
 		}
 		tb, cols := decodeFuzzTable(data)
-		fun := fdStrings(Discover(tb, MaxLHS))
+		lat := NewLattice(tb)
+		root, _ := lat.Discover(MaxLHS)
+		fun := fdStrings(root)
 		if naive := fdStrings(DiscoverNaive(tb, MaxLHS)); !reflect.DeepEqual(fun, naive) {
 			t.Fatalf("Discover %v, DiscoverNaive %v\nrows %v", fun, naive, tb.Rows())
 		}
 		if tane := fdStrings(DiscoverTANE(tb, MaxLHS)); !reflect.DeepEqual(fun, tane) {
 			t.Fatalf("Discover %v, DiscoverTANE %v\nrows %v", fun, tane, tb.Rows())
 		}
-		got := fdStrings(NewLattice(tb).DiscoverCols(cols, MaxLHS))
 		want := fdStrings(Discover(dedupeRows(tb, cols), MaxLHS))
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("DiscoverCols(%v) %v, built projection %v\nrows %v", cols, got, want, tb.Rows())
+		cold := NewLattice(tb)
+		for _, l := range []*Lattice{cold, lat} {
+			if got := fdStrings(l.DiscoverCols(cols, MaxLHS)); !reflect.DeepEqual(got, want) {
+				t.Fatalf("DiscoverCols(%v) %v, built projection %v\nrows %v", cols, got, want, tb.Rows())
+			}
+			for s, n := range l.e.cards {
+				if naive := naiveCard(tb, s.members(tb.NumCols())); n != naive {
+					t.Fatalf("cached card(%v) = %d, naive %d\nrows %v", s.members(tb.NumCols()), n, naive, tb.Rows())
+				}
+			}
 		}
 		for a := 0; a < tb.NumCols(); a++ {
 			lhs := slices.DeleteFunc(slices.Clone(cols), func(c int) bool { return c == a })

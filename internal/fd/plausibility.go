@@ -33,10 +33,19 @@ func Plausibility(t *table.Table, f FD) float64 {
 	if t.NumRows() == 0 || f.RHS >= t.NumCols() {
 		return 0
 	}
+	return PlausibilityOf(t, f, t.DistinctCount(f.LHS))
+}
+
+// PlausibilityOf is Plausibility given the FD's support, the number of
+// distinct LHS tuples card(f.LHS): a Lattice that discovered f holds it
+// (Lattice.Card), so scoring needs no further count.
+func PlausibilityOf(t *table.Table, f FD, support int) float64 {
+	if t.NumRows() == 0 || f.RHS >= t.NumCols() {
+		return 0
+	}
 	var score float64
 
 	// Support: distinct LHS groups, saturating at 30.
-	support := t.DistinctCount(f.LHS)
 	switch {
 	case support >= 30:
 		score += 0.30

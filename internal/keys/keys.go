@@ -26,66 +26,63 @@ func KeyColumns(t *table.Table) []int {
 // the table, searching keys of up to maxSize columns (use
 // MaxCandidateKeySize for the paper's setting). It returns 0 when no
 // candidate key of size ≤ maxSize exists, and 0 for empty tables.
-//
-// A column set K is a candidate key when the projection onto K has as
-// many distinct tuples as the table has rows. Minimality over the
-// searched sizes is implied by returning the smallest size found.
 func MinCandidateKeySize(t *table.Table, maxSize int) int {
+	return len(MinCandidateKey(t, maxSize, t.DistinctCount))
+}
+
+// MinCandidateKey returns the first smallest candidate key of t of at
+// most maxSize columns, or nil when there is none (and for empty
+// tables). card(cols) must return the number of distinct tuples of the
+// projection onto cols, as Table.DistinctCount does; the §4 study
+// passes its FD lattice's cache instead, so every count the FD search
+// already made is reused.
+//
+// A single column is a key when its profile says so (IsKey: unique and
+// never null). Larger keys are searched size by size over the
+// non-constant columns, in lexicographic order of their indices: a
+// column set K is a candidate key when the projection onto K has as
+// many distinct tuples as the table has rows. Minimality over the
+// searched sizes is implied by returning at the smallest size found.
+func MinCandidateKey(t *table.Table, maxSize int, card func(cols []int) int) []int {
 	n := t.NumRows()
 	if n == 0 || t.NumCols() == 0 {
-		return 0
+		return nil
 	}
-	if maxSize > t.NumCols() {
-		maxSize = t.NumCols()
-	}
-
-	// Size 1: use cached profiles.
+	maxSize = min(maxSize, t.NumCols())
 	for c := range t.Cols {
 		if t.Profile(c).IsKey() {
-			return 1
+			return []int{c}
 		}
 	}
-	if maxSize < 2 {
-		return 0
-	}
-
-	// Prune: a column whose distinct count is 1 can never help
-	// distinguish tuples beyond what other columns do... it can still
-	// participate but adds nothing; exclude constant columns to shrink
-	// the search space.
+	// A constant column never tells two rows apart, so it is left out
+	// of the search.
 	var useful []int
 	for c := range t.Cols {
-		if t.DistinctCount([]int{c}) > 1 {
+		if card([]int{c}) > 1 {
 			useful = append(useful, c)
 		}
 	}
-
-	for size := 2; size <= maxSize; size++ {
-		if found := searchSize(t, useful, size, n); found {
-			return size
+	combo := make([]int, 0, maxSize)
+	var rec func(start, size int) bool
+	rec = func(start, size int) bool {
+		if len(combo) == size {
+			return card(combo) == n
 		}
-	}
-	return 0
-}
-
-// searchSize checks whether any column combination of exactly the given
-// size is a key.
-func searchSize(t *table.Table, cols []int, size, nRows int) bool {
-	combo := make([]int, size)
-	var rec func(start, depth int) bool
-	rec = func(start, depth int) bool {
-		if depth == size {
-			return t.DistinctCount(combo) == nRows
-		}
-		for i := start; i <= len(cols)-(size-depth); i++ {
-			combo[depth] = cols[i]
-			if rec(i+1, depth+1) {
+		for i := start; i <= len(useful)-(size-len(combo)); i++ {
+			combo = append(combo, useful[i])
+			if rec(i+1, size) {
 				return true
 			}
+			combo = combo[:len(combo)-1]
 		}
 		return false
 	}
-	return rec(0, 0)
+	for size := 2; size <= maxSize; size++ {
+		if rec(0, size) {
+			return combo
+		}
+	}
+	return nil
 }
 
 // SizeDistribution bins a set of tables by minimal candidate key size:

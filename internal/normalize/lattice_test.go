@@ -37,6 +37,18 @@ var rootCardinalities = map[int64][]int{
 	3: {214, 17743, 9921, 31012},
 }
 
+// rootCounted pins, like rootCardinalities, the summed
+// fd.Cost.Counted: the cardinalities the root searches counted by
+// partition refinement rather than inferred from cached ones. The
+// search counted every multi-column cardinality before it inferred
+// any: 59,408, 43,961 and 57,952 at seeds 1-3, against 29,089, 22,349
+// and 21,402 here.
+var rootCounted = map[int64][]int{
+	1: {80, 1759, 2583, 24667},
+	2: {64, 1145, 7766, 13374},
+	3: {78, 5951, 4530, 10843},
+}
+
 // fdFixture is one table of a generated portal's FD subset.
 type fdFixture struct {
 	name   string
@@ -178,11 +190,11 @@ func (r *refResult) gain() float64 {
 // lattice's FDs for its column list must equal fd.Discover on the
 // built sub-table; the results must agree in steps, column lists, row
 // counts, sub-table bytes and uniqueness gain; and the root cost must
-// be the study's pinned cardinality count.
+// be the study's pinned cardinality and count totals.
 func TestDecomposeMatchesReferenceOnCorpora(t *testing.T) {
 	scale, seeds := corpusSpec()
 	fixtures := fdFixtures(t, scale, seeds)
-	cards := map[int64][]int{}
+	cards, counted := map[int64][]int{}, map[int64][]int{}
 	decomposed := 0
 	for k, fx := range fixtures {
 		rngSeed := int64(1000*fx.seed) + int64(k)
@@ -194,8 +206,10 @@ func TestDecomposeMatchesReferenceOnCorpora(t *testing.T) {
 		}
 		if cards[fx.seed] == nil {
 			cards[fx.seed] = make([]int, len(gen.Profiles()))
+			counted[fx.seed] = make([]int, len(gen.Profiles()))
 		}
 		cards[fx.seed][fx.portal] += got.Cost.Cardinalities
+		counted[fx.seed][fx.portal] += got.Cost.Counted
 		// Every later step is a deduplicated projection of the table.
 		lat := fd.NewLattice(fx.t)
 		for _, st := range steps[1:] {
@@ -233,6 +247,11 @@ func TestDecomposeMatchesReferenceOnCorpora(t *testing.T) {
 	for seed, want := range rootCardinalities {
 		if got, ok := cards[seed]; ok && !reflect.DeepEqual(got, want) {
 			t.Errorf("seed %d: root cardinalities per portal %v, want %v", seed, got, want)
+		}
+	}
+	for seed, want := range rootCounted {
+		if got, ok := counted[seed]; ok && !reflect.DeepEqual(got, want) {
+			t.Errorf("seed %d: root counts per portal %v, want %v", seed, got, want)
 		}
 	}
 }

@@ -78,7 +78,14 @@ const maxDepth = 64
 // as its list of original columns, and its FDs and row count come from
 // the original table's cardinality lattice; no sub-table is built.
 func Decompose(t *table.Table, maxLHS int, rng *rand.Rand) *Result {
-	lat := fd.NewLattice(t)
+	return DecomposeLattice(t, fd.NewLattice(t), maxLHS, rng)
+}
+
+// DecomposeLattice is Decompose on lat, a fresh fd.NewLattice(t): the
+// caller keeps the lattice, whose cache then holds every cardinality
+// the decomposition determined, for further reads through
+// Lattice.Card.
+func DecomposeLattice(t *table.Table, lat *fd.Lattice, maxLHS int, rng *rand.Rand) *Result {
 	res := &Result{Original: t}
 	res.FDs, res.Cost = lat.Discover(maxLHS)
 	if len(res.FDs) == 0 {

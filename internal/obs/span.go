@@ -29,6 +29,13 @@ type Span struct {
 
 	mu       sync.Mutex
 	children []*Span
+	notes    []note // diagnostic counts of timed traces, in first-add order
+}
+
+// note is one named diagnostic count of a span.
+type note struct {
+	key string
+	n   int64
 }
 
 // NewTrace creates a root span with no clock: the tree records
@@ -109,6 +116,25 @@ func (s *Span) AddBytes(n int64) {
 	s.bytes.Add(n)
 }
 
+// Note adds n to the span's diagnostic count named key, rendered as
+// key=n after the standard attributes. Notes are kept only on timed
+// traces, so a deterministic tree renders as it would without them:
+// they carry work counts that no metric snapshot pins.
+func (s *Span) Note(key string, n int) {
+	if s == nil || s.now == nil || n <= 0 {
+		return
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for i := range s.notes {
+		if s.notes[i].key == key {
+			s.notes[i].n += int64(n)
+			return
+		}
+	}
+	s.notes = append(s.notes, note{key: key, n: int64(n)})
+}
+
 // Timed reports whether the span's trace carries a clock.
 func (s *Span) Timed() bool { return s != nil && s.now != nil }
 
@@ -159,6 +185,11 @@ func (s *Span) attrs() string {
 	if n := s.bytes.Load(); n > 0 {
 		parts = append(parts, fmt.Sprintf("bytes=%d", n))
 	}
+	s.mu.Lock()
+	for _, nt := range s.notes {
+		parts = append(parts, fmt.Sprintf("%s=%d", nt.key, nt.n))
+	}
+	s.mu.Unlock()
 	if len(parts) == 0 {
 		return ""
 	}

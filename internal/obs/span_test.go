@@ -82,8 +82,8 @@ func TestSpanCountersConcurrent(t *testing.T) {
 }
 
 // TestTimedTrace checks that a clock-carrying trace records wall time
-// on End and renders it — and that an unclocked trace never does, even
-// when AddDuration is not used.
+// on End and renders it, with any notes — and that an unclocked trace
+// renders neither, even when AddDuration is not used.
 func TestTimedTrace(t *testing.T) {
 	tick := time.Unix(1000, 0)
 	clock := func() time.Time {
@@ -102,9 +102,18 @@ func TestTimedTrace(t *testing.T) {
 		t.Errorf("timed tree = %q, want %q", b.String(), want)
 	}
 
+	c.Note("counted", 3)
+	c.Note("counted", 4)
+	b.Reset()
+	c.WriteTree(&b)
+	if want := "stage [wall=0.250s counted=7]\n"; b.String() != want {
+		t.Errorf("timed tree with a note = %q, want %q", b.String(), want)
+	}
+
 	plain := NewTrace("run").Child("stage")
 	plain.End()
 	plain.AddTasks(1)
+	plain.Note("counted", 5) // dropped: the tree is deterministic
 	b.Reset()
 	plain.WriteTree(&b)
 	if want := "stage [tasks=1]\n"; b.String() != want {

@@ -471,26 +471,24 @@ func (s *Service) ProfileText(ctx context.Context, ti int) (string, error) {
 }
 
 // FDText renders the table's minimal functional dependencies (bounded
-// at maxLHS) with their plausibility scores, computed in a
-// request-scoped fan-out bounded by ctx.
+// at maxLHS) with their plausibility scores. The discovery's lattice
+// already holds each FD's support, card(LHS), so scoring counts
+// nothing more. ctx is checked once discovery is done.
 func (s *Service) FDText(ctx context.Context, ti, maxLHS int) (string, error) {
 	t := s.tables[ti]
 	if t.NumCols() > fd.MaxColumns {
 		return "", fmt.Errorf("%w: table %s has %d columns; FD discovery accepts at most %d",
 			ErrBadRequest, t.Name, t.NumCols(), fd.MaxColumns)
 	}
-	fds := fd.Discover(t, maxLHS)
-	scores := make([]float64, len(fds))
-	if err := parallel.ForEach(parallel.WithPool(ctx, "query-fd-plausibility"),
-		len(fds), s.workers, func(i int) {
-			scores[i] = fd.Plausibility(t, fds[i])
-		}); err != nil {
-		return "", err
+	lat := fd.NewLattice(t)
+	fds, _ := lat.Discover(maxLHS)
+	if err := ctx.Err(); err != nil {
+		return "", fmt.Errorf("fd %s: %w", t.Name, err)
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "functional dependencies of %s (max LHS %d): %d minimal FDs\n", t.Name, maxLHS, len(fds))
-	for i, f := range fds {
-		fmt.Fprintf(&b, "  %s   (plausibility %.2f)\n", f.Format(t), scores[i])
+	for _, f := range fds {
+		fmt.Fprintf(&b, "  %s   (plausibility %.2f)\n", f.Format(t), fd.PlausibilityOf(t, f, lat.Card(f.LHS)))
 	}
 	return b.String(), nil
 }

@@ -2,6 +2,8 @@ package query
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"os"
@@ -11,6 +13,8 @@ import (
 	"testing"
 
 	"ogdp/internal/diskcorpus"
+	"ogdp/internal/fd"
+	"ogdp/internal/gen"
 )
 
 // fixtureDir writes a small corpus with known joinable, unionable,
@@ -271,5 +275,28 @@ func TestCanceledContext(t *testing.T) {
 	cancel()
 	if _, err := s.Do(ctx, Request{Kind: KindProfile, Table: "species.csv"}); err == nil {
 		t.Error("profile under a canceled context should fail")
+	}
+}
+
+// TestFDTextPinnedOnCA pins the /fd response bytes for every table of
+// the generated CA portal (scale 0.05, seed 1) at max LHS 2 and 4: the
+// SHA-256 prefix of the concatenated bodies, taken when each FD's
+// support was counted on a fresh partition rather than read from the
+// discovery's lattice.
+func TestFDTextPinnedOnCA(t *testing.T) {
+	const pinned = "c41aa6f8dfcea0b8"
+	s := New(gen.Generate(gen.CA(), 0.05, 1), Options{Workers: 2})
+	h := sha256.New()
+	for ti := range s.tables {
+		for _, maxLHS := range []int{2, fd.MaxLHS} {
+			out, err := s.FDText(context.Background(), ti, maxLHS)
+			if err != nil {
+				t.Fatalf("%s: %v", s.tables[ti].Name, err)
+			}
+			h.Write([]byte(out))
+		}
+	}
+	if got := hex.EncodeToString(h.Sum(nil)[:8]); got != pinned {
+		t.Errorf("/fd bodies over %d CA tables hash to %s, pinned %s", len(s.tables), got, pinned)
 	}
 }

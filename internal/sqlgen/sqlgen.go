@@ -86,16 +86,12 @@ func writeCreate(b *strings.Builder, tables []*table.Table, ti int, names []stri
 		lines = append(lines, line)
 	}
 
-	if ks := keys.KeyColumns(t); len(ks) > 0 {
-		lines = append(lines, fmt.Sprintf("  PRIMARY KEY (%s)", Identifier(t.Cols[ks[0]])))
-	} else if size := keys.MinCandidateKeySize(t, keys.MaxCandidateKeySize); size > 1 {
-		if combo := compositeKey(t, size); combo != nil {
-			var names []string
-			for _, c := range combo {
-				names = append(names, Identifier(t.Cols[c]))
-			}
-			lines = append(lines, fmt.Sprintf("  PRIMARY KEY (%s)", strings.Join(names, ", ")))
+	if key := keys.MinCandidateKey(t, keys.MaxCandidateKeySize, t.DistinctCount); key != nil {
+		var names []string
+		for _, c := range key {
+			names = append(names, Identifier(t.Cols[c]))
 		}
+		lines = append(lines, fmt.Sprintf("  PRIMARY KEY (%s)", strings.Join(names, ", ")))
 	}
 
 	// One FK per dependent column: prefer the reference with the
@@ -116,36 +112,6 @@ func writeCreate(b *strings.Builder, tables []*table.Table, ti int, names []stri
 
 	b.WriteString(strings.Join(lines, ",\n"))
 	b.WriteString("\n);\n")
-}
-
-// compositeKey finds one minimal candidate key of the given size.
-func compositeKey(t *table.Table, size int) []int {
-	n := t.NumRows()
-	var cols []int
-	for c := range t.Cols {
-		cols = append(cols, c)
-	}
-	combo := make([]int, size)
-	var found []int
-	var rec func(start, depth int) bool
-	rec = func(start, depth int) bool {
-		if depth == size {
-			if t.DistinctCount(combo) == n {
-				found = append([]int(nil), combo...)
-				return true
-			}
-			return false
-		}
-		for i := start; i <= len(cols)-(size-depth); i++ {
-			combo[depth] = cols[i]
-			if rec(i+1, depth+1) {
-				return true
-			}
-		}
-		return false
-	}
-	rec(0, 0)
-	return found
 }
 
 // sqlType maps an inferred column type to a SQL type name.
